@@ -6,13 +6,13 @@ invalid rows (a diverged best response).
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .delay import dfr_delay, delayed_step_sim, gain_threshold
-from .experiment import (DEFAULT_DELAYS, ExperimentConfig, emit_csv, fmt6,
-                         loop_margin, run_sweep, simulate_gains)
+from .experiment import (ExperimentConfig, emit_csv, fmt6, loop_margin,
+                         run_sweep, simulate_gains)
 from .lti import TransferFunction, closed_loop, pid_tf, poly_mul, step_response
 from .metrics import (OBJECTIVES, indices, stability_margin,
                       standard_measures)
@@ -32,21 +32,16 @@ def _str_list(text):
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
+_PARSERS = {tuple[float, ...]: _float_list, tuple[str, ...]: _str_list}
+
+# config-file key -> ExperimentConfig field; the plant has keys of its own
+_FIELDS = {("seed" if f.name == "master_seed" else f.name): f
+           for f in fields(ExperimentConfig) if f.name != "plant"}
+_PLANT_FIELDS = [f for f in fields(PlantFolpd) if f.name != "delay"]
+
 CONFIG_KEYS = {
-    "gain": float,
-    "time_constant": float,
-    "delays": _float_list,
-    "objectives": _str_list,
-    "dt": float,
-    "horizon": float,
-    "pop_size": int,
-    "generations": int,
-    "selection_q": float,
-    "mutation_prob": float,
-    "elite_count": int,
-    "crossover_pairs": int,
-    "bounds_factor": float,
-    "seed": int,
+    **{f.name: f.type for f in _PLANT_FIELDS},
+    **{key: _PARSERS.get(f.type, f.type) for key, f in _FIELDS.items()},
     "out": str,
 }
 
@@ -79,31 +74,17 @@ def read_config_file(path):
 def build_config(args):
     """Defaults <- config file <- command-line flags; returns (config, out)."""
     vals = read_config_file(args.config) if args.config else {}
-    if getattr(args, "seed", None) is not None:
-        vals["seed"] = args.seed
-    if getattr(args, "pop_size", None) is not None:
-        vals["pop_size"] = args.pop_size
-    if getattr(args, "generations", None) is not None:
-        vals["generations"] = args.generations
+    for key in ("seed", "pop_size", "generations"):
+        if getattr(args, key, None) is not None:
+            vals[key] = getattr(args, key)
     out = getattr(args, "out", None) or vals.get("out") or "out"
     try:
-        plant = PlantFolpd(vals.get("gain", 1.0),
-                           vals.get("time_constant", 1.0), 0.0)
+        plant = replace(ExperimentConfig.plant,
+                        **{f.name: vals[f.name] for f in _PLANT_FIELDS
+                           if f.name in vals})
         config = ExperimentConfig(
-            plant=plant,
-            delays=vals.get("delays", DEFAULT_DELAYS),
-            objectives=vals.get("objectives", OBJECTIVES),
-            dt=vals.get("dt", 0.01),
-            horizon=vals.get("horizon", 15.0),
-            pop_size=vals.get("pop_size", 80),
-            generations=vals.get("generations", 300),
-            selection_q=vals.get("selection_q", 0.08),
-            mutation_prob=vals.get("mutation_prob", 0.001),
-            elite_count=vals.get("elite_count", 1),
-            crossover_pairs=vals.get("crossover_pairs"),
-            bounds_factor=vals.get("bounds_factor", 2.0),
-            master_seed=vals.get("seed", 0),
-        )
+            plant=plant, **{f.name: vals[key] for key, f in _FIELDS.items()
+                            if key in vals})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config, out

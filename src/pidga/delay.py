@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import (DIVERGENCE_LIMIT, StepResponse, TransferFunction,
+from .lti import (StepResponse, TransferFunction, clamp_divergence,
                   rk4_transition, sample_count, to_state_space)
 
 log = logging.getLogger(__name__)
@@ -99,38 +99,35 @@ def delayed_step_sim(inner, tau, dt=0.01, horizon=15.0, feedback=True):
     The exact loop cannot respond before the dead time, so y is identically
     zero for t < tau regardless of any direct feedthrough in inner.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if horizon < dt:
-        raise ValueError("horizon shorter than one step")
-    ss = to_state_space(inner)
-    M, N = rk4_transition(ss.A, ss.B, dt)
-    line = DelayLine(dt, tau)
     nsamp = sample_count(dt, horizon)
-    t = np.arange(nsamp) * dt
-    y = np.empty(nsamp)
-    x = np.zeros(ss.order)
-    diverged = False
+    ss = to_state_space(inner)
+    C = ss.C[None]
+    M, N = rk4_transition(ss.A[None], ss.B, dt)
+    line = DelayLine(dt, tau)
+    y = np.empty((1, nsamp))
+    X = np.zeros((1, nsamp + 1, ss.order))
+    x = X[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nsamp):
+            # the batch_step expressions, so an open chain reproduces
+            # step_response bit for bit
+            cx = np.einsum("pj,pkj->pk", C, x[:, None])[0, 0]
             if line.n > 0:
                 yk = line.peek()
             elif feedback:
                 # zero-length line: the loop is algebraic through D
-                yk = (ss.C @ x + ss.D) / (1.0 + ss.D)
+                yk = (cx + ss.D) / (1.0 + ss.D)
             else:
-                yk = ss.C @ x + ss.D
-            y[k] = yk
+                yk = cx + ss.D
+            y[0, k] = yk
             u = 1.0 - yk if feedback else 1.0
-            line.push(ss.C @ x + ss.D * u)
-            x = M @ x + N * u
-            if x.size and (not np.isfinite(x).all()
-                           or np.abs(x).max() > DIVERGENCE_LIMIT):
-                diverged = True
-                y[k + 1:] = y[k]
-                break
-    e = 1.0 - y
-    return StepResponse(dt, horizon, t, y, e, diverged)
+            line.push(cx + ss.D * u)
+            x = np.einsum("pij,pj->pi", M, x) + N * u
+            X[:, k + 1] = x
+    diverged = bool(clamp_divergence(X, y)[0])
+    y = y[0]
+    return StepResponse(dt, horizon, np.arange(nsamp) * dt, y, 1.0 - y,
+                        diverged)
 
 
 def gain_threshold(inner, tau, dt=0.01, horizon=60.0, k_max=1e6,

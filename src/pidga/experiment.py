@@ -11,14 +11,14 @@ be recomputed in isolation.
 import csv
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .delay import dfr_delay
 from .ga import GaConfig, run_ga
-from .lti import (DIVERGENCE_LIMIT, closed_loop, pid_tf, sample_count,
-                  step_response)
+from .lti import (batch_step, closed_loop, pad_left, pid_tf, realize,
+                  sample_count, step_response)
 from .metrics import (OBJECTIVES, PerformanceIndices, StandardMeasures,
                       fitness, index_sums, indices, stability_margin,
                       standard_measures)
@@ -32,17 +32,17 @@ MEASURE_FIELDS = ("percent_overshoot", "settling_time", "rise_time",
 
 @dataclass
 class ExperimentConfig:
-    plant: PlantFolpd = PlantFolpd(1.0, 1.0, 0.0)  # delay comes from `delays`
-    delays: tuple = DEFAULT_DELAYS
-    objectives: tuple = OBJECTIVES
+    plant: PlantFolpd = PlantFolpd()  # delay comes from `delays`
+    delays: tuple[float, ...] = DEFAULT_DELAYS
+    objectives: tuple[str, ...] = OBJECTIVES
     dt: float = 0.01
     horizon: float = 15.0
-    pop_size: int = 80
-    generations: int = 300
-    selection_q: float = 0.08
-    mutation_prob: float = 0.001
-    elite_count: int = 1
-    crossover_pairs: int = None
+    pop_size: int = GaConfig.pop_size
+    generations: int = GaConfig.max_generations
+    selection_q: float = GaConfig.selection_q
+    mutation_prob: float = GaConfig.mutation_prob
+    elite_count: int = GaConfig.elite_count
+    crossover_pairs: int = GaConfig.crossover_pairs
     bounds_factor: float = 2.0
     master_seed: int = 0
 
@@ -93,30 +93,18 @@ class SweepReport:
     def n_invalid(self):
         return sum(1 for r in self.rows if not r.valid)
 
+    def _means(self, attr, cls):
+        """Per-method column means of the rows' `attr` records of type cls."""
+        return {m: cls(*(float(np.mean([getattr(getattr(r, attr), f.name)
+                                        for r in self.method_rows(m)]))
+                         for f in fields(cls)))
+                for m in self.methods}
+
     def average_indices(self):
-        out = {}
-        for m in self.methods:
-            rows = self.method_rows(m)
-            out[m] = PerformanceIndices(
-                *(float(np.mean([r.indices.by_name(o) for r in rows]))
-                  for o in OBJECTIVES))
-        return out
+        return self._means("indices", PerformanceIndices)
 
     def average_measures(self):
-        out = {}
-        for m in self.methods:
-            rows = self.method_rows(m)
-            vals = {f: float(np.mean([getattr(r.measures, f) for r in rows]))
-                    for f in MEASURE_FIELDS}
-            ss = float(np.mean([r.measures.steady_state_error for r in rows]))
-            out[m] = StandardMeasures(
-                percent_overshoot=vals["percent_overshoot"],
-                settling_time=vals["settling_time"],
-                rise_time=vals["rise_time"],
-                peak_time=vals["peak_time"],
-                steady_state_error=ss,
-                stability_margin=vals["stability_margin"])
-        return out
+        return self._means("measures", StandardMeasures)
 
 
 def derive_seed(master, *key):
@@ -141,15 +129,9 @@ def loop_margin(gains, plant, tau):
 
 
 # --------------------------------------------------------------------------
-# batch closed-loop simulation: the whole population propagates as one
-# stacked companion-form system, which is what makes 300-generation runs
-# affordable without touching the per-row single-path results.
-
-def _pad_left(c, width):
-    out = np.zeros(width)
-    out[width - len(c):] = c
-    return out
-
+# batch closed loop: the whole population becomes one stacked companion-form
+# system for lti.batch_step, the kernel whose single-row case also produces
+# every reported row, which is what makes 300-generation runs affordable.
 
 def _batch_closed_loop(genes, plant, tau):
     """Stacked (A, C, D) realizations of T = L/(1+L) for gene rows.
@@ -159,54 +141,15 @@ def _batch_closed_loop(genes, plant, tau):
     The leading den(T) coefficient is bounded below by the plant/delay part,
     so every row admits the same-order companion form with no cancellation.
     """
-    genes = np.asarray(genes, dtype=float)
     lag = plant.lag_tf()
     d = dfr_delay(tau).tf
     base = np.convolve(d.num, lag.num)  # gain * delay numerator
     den_l = np.convolve(np.convolve([1.0, 0.0], lag.den), d.den)
     width = len(den_l)
-    rows = [_pad_left(np.convolve(base, s_pow), width)
+    rows = [pad_left(np.convolve(base, s_pow), width)
             for s_pow in ([1.0, 0.0, 0.0], [1.0, 0.0], [1.0])]
     num = genes @ np.array(rows)  # (p, width), gene order (kd, kp, ki)
-    den = _pad_left(den_l, width) + num
-    lead = den[:, :1]
-    a = den / lead
-    b = num / lead
-    D = b[:, 0].copy()
-    C = b[:, 1:] - a[:, 1:] * D[:, None]
-    n = width - 1
-    A = np.zeros((len(genes), n, n))
-    A[:, 0, :] = -a[:, 1:]
-    A[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-    return A, C, D
-
-
-def _batch_step(A, C, D, dt, nsamp):
-    """Unit-step responses of stacked realizations; same RK4 one-step maps
-    and the same divergence rule as the single-path simulator (state beyond
-    1e9 or non-finite flags the row; remaining samples repeat)."""
-    p, n, _ = A.shape
-    P = dt * A
-    I = np.eye(n)[None]
-    P2 = P @ P
-    P3 = P2 @ P
-    M = I + P + P2 / 2.0 + P3 / 6.0 + P3 @ P / 24.0
-    N = dt * (I + P / 2.0 + P2 / 6.0 + P3 / 24.0)[:, :, 0]
-    X = np.empty((p, nsamp, n))
-    X[:, 0] = 0.0
-    x = np.zeros((p, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, nsamp):
-            x = np.einsum("pij,pj->pi", M, x) + N
-            X[:, k] = x
-        Y = np.einsum("pj,pkj->pk", C, X) + D[:, None]
-    bad = (~np.isfinite(X).all(axis=2)) | \
-        (np.abs(X) > DIVERGENCE_LIMIT).any(axis=2)
-    diverged = bad.any(axis=1)
-    for i in np.flatnonzero(diverged):
-        j = int(np.argmax(bad[i]))  # j >= 1: the initial state is zero
-        Y[i, j:] = Y[i, j - 1]
-    return Y, diverged
+    return realize(num, pad_left(den_l, width) + num)
 
 
 def evaluate_objective(genes, plant, tau, objective, dt=0.01, horizon=15.0):
@@ -214,7 +157,7 @@ def evaluate_objective(genes, plant, tau, objective, dt=0.01, horizon=15.0):
     genes = np.atleast_2d(np.asarray(genes, dtype=float))
     nsamp = sample_count(dt, horizon)
     A, C, D = _batch_closed_loop(genes, plant, tau)
-    Y, diverged = _batch_step(A, C, D, dt, nsamp)
+    Y, diverged = batch_step(A, C, D, dt, nsamp)
     t = np.arange(nsamp) * dt
     vals = index_sums(1.0 - Y, t, dt, horizon)[OBJECTIVES.index(objective)]
     return vals, diverged
@@ -246,10 +189,8 @@ def _tuned_row(config, plant, tau, objective, bounds, seed, retried):
                                        config.dt, config.horizon)
         return fitness(vals, div)
 
-    result = run_ga(_ga_config(config, bounds, seed),
-                    evaluate=lambda g: float(eval_pop(g[None])[0]),
-                    evaluate_population=eval_pop)
-    gains = PidGains(*result.best.genes)
+    result = run_ga(_ga_config(config, bounds, seed), eval_pop)
+    gains = PidGains(*result.best.genes.tolist())
     resp = simulate_gains(gains, plant, tau, config.dt, config.horizon)
     if resp.diverged:
         return SweepRow(tau, f"ga-{objective}", gains, _nan_indices(),
@@ -344,8 +285,7 @@ def emit_csv(report, outdir):
     path = os.path.join(outdir, "measures.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["method", "percent_overshoot", "settling_time",
-                    "rise_time", "peak_time", "stability_margin"])
+        w.writerow(["method", *MEASURE_FIELDS])
         avg = report.average_measures()
         for m in report.methods:
             w.writerow([m] + [fmt6(getattr(avg[m], f)) for f in MEASURE_FIELDS])
@@ -363,20 +303,16 @@ def emit_csv(report, outdir):
     paths.append(path)
 
     path = os.path.join(outdir, "details.csv")
+    measures = [f.name for f in fields(StandardMeasures)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["delay", "method", "seed", "converged", "retried",
-                    "valid", "kd", "kp", "ki"] + list(OBJECTIVES)
-                   + ["percent_overshoot", "settling_time", "rise_time",
-                      "peak_time", "steady_state_error", "stability_margin"])
+                    "valid", "kd", "kp", "ki", *OBJECTIVES, *measures])
         for r in report.rows:
             w.writerow([repr(r.delay), r.method, r.seed, int(r.converged),
                         int(r.retried), int(r.valid), repr(r.gains.kd),
                         repr(r.gains.kp), repr(r.gains.ki)]
                        + [repr(r.indices.by_name(o)) for o in OBJECTIVES]
-                       + [repr(getattr(r.measures, f)) for f in
-                          ("percent_overshoot", "settling_time", "rise_time",
-                           "peak_time", "steady_state_error",
-                           "stability_margin")])
+                       + [repr(getattr(r.measures, f)) for f in measures])
     paths.append(path)
     return paths

@@ -96,15 +96,14 @@ def mutate(genes, bounds, prob, rng):
     return np.where(mask, fresh, genes)
 
 
-def run_ga(config, evaluate, evaluate_population=None):
+def run_ga(config, evaluate):
     """Maximize fitness over the bounded gene box.
 
-    evaluate maps one gene vector to a fitness; evaluate_population, when
-    given, maps the whole (pop_size, n_genes) matrix to a fitness vector in
-    one call (same values, vectorized) and is preferred.  Non-finite fitness
-    is treated as the 1e-12 penalty.  Returns the best-ever chromosome, its
-    reciprocal as best_index_value, the per-generation best-fitness history,
-    and a convergence flag (less than 1e-9 improvement over the final 50
+    evaluate maps the whole (pop_size, n_genes) population matrix to its
+    fitness vector in one call.  Non-finite fitness is treated as the 1e-12
+    penalty.  Returns the best-ever chromosome, its reciprocal as
+    best_index_value, the per-generation best-fitness history, and a
+    convergence flag (less than 1e-9 improvement over the final 50
     generations).
     """
     bounds = config.bounds
@@ -119,10 +118,7 @@ def run_ga(config, evaluate, evaluate_population=None):
     best_genes = None
     best_fit = -math.inf
     for gen in range(config.max_generations):
-        if evaluate_population is not None:
-            fit = np.asarray(evaluate_population(pop), dtype=float)
-        else:
-            fit = np.array([evaluate(g) for g in pop], dtype=float)
+        fit = np.asarray(evaluate(pop), dtype=float)
         fit = np.where(np.isfinite(fit), fit, 1e-12)
         order = np.argsort(-fit, kind="stable")  # rank 0 = best, ties by row
         pop = pop[order]
@@ -135,11 +131,9 @@ def run_ga(config, evaluate, evaluate_population=None):
             break
         parents = sample_ranks(cum, rng, (config.crossover_pairs, 2))
         a = rng.random(config.crossover_pairs)[:, None]
-        pa = pop[parents[:, 0]]
-        pb = pop[parents[:, 1]]
         children = np.empty((2 * config.crossover_pairs, ngenes))
-        children[0::2] = a * pa + (1.0 - a) * pb
-        children[1::2] = (1.0 - a) * pa + a * pb
+        children[0::2], children[1::2] = arithmetic_crossover(
+            pop[parents[:, 0]], pop[parents[:, 1]], a)
         children = mutate(children[:n_children], bounds, config.mutation_prob,
                           rng)
         # convexity keeps children inside the box; clip only sweeps up the

@@ -27,14 +27,18 @@ def poly_mul(a, b):
     return poly_trim(np.convolve(poly_trim(a), poly_trim(b)))
 
 
+def pad_left(c, width):
+    """Coefficients c right-aligned in a zero row of the given width."""
+    out = np.zeros(width)
+    out[width - len(c):] = c
+    return out
+
+
 def poly_add(a, b):
     """Polynomial sum with right-aligned coefficients, leading zeros trimmed."""
     a, b = poly_trim(a), poly_trim(b)
     n = max(len(a), len(b))
-    out = np.zeros(n)
-    out[n - len(a):] += a
-    out[n - len(b):] += b
-    return poly_trim(out)
+    return poly_trim(pad_left(a, n) + pad_left(b, n))
 
 
 @dataclass(frozen=True)
@@ -111,29 +115,34 @@ class StateSpace:
         return self.A.shape[0]
 
 
+def realize(num, den):
+    """Controllable-canonical A (p, n, n), C (p, n), D (p,) of the transfer
+    functions num[i]/den[i], given as (p, n+1) left-padded coefficient rows.
+    B = e0 for every row; n = 0 gives order-0 realizations (pure gains)."""
+    lead = den[:, :1]
+    a = den / lead
+    b = num / lead
+    D = b[:, 0].copy()
+    C = b[:, 1:] - a[:, 1:] * D[:, None]
+    p, n = C.shape
+    A = np.zeros((p, n, n))
+    if n > 0:
+        A[:, 0, :] = -a[:, 1:]
+        A[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    return A, C, D
+
+
 def to_state_space(tf):
     """Controllable-canonical realization of a proper or biproper TF.
 
     A biproper input yields the nonzero feedthrough D = lead(num)/lead(den);
     a constant transfer function yields an order-0 realization (pure gain).
     """
-    den = tf.den
-    n = len(den) - 1
+    n = len(tf.den) - 1
     if len(tf.num) - 1 > n:
         raise ValueError("improper transfer function")
-    a = den / den[0]
-    b = np.zeros(n + 1)
-    b[n + 1 - len(tf.num):] = tf.num / den[0]
-    d = b[0]
-    A = np.zeros((n, n))
-    if n > 0:
-        A[0, :] = -a[1:]
-        A[np.arange(1, n), np.arange(0, n - 1)] = 1.0
-    B = np.zeros(n)
-    if n > 0:
-        B[0] = 1.0
-    C = b[1:] - a[1:] * d
-    return StateSpace(A, B, C, float(d))
+    A, C, D = realize(pad_left(tf.num, n + 1)[None], tf.den[None])
+    return StateSpace(A[0], np.eye(1, n)[0], C[0], float(D[0]))
 
 
 def rk4_transition(A, B, dt):
@@ -142,9 +151,10 @@ def rk4_transition(A, B, dt):
     For a linear system with the input held constant over the step, the four
     RK4 stages collapse algebraically to x+ = M x + N u with
     M = I + P + P^2/2 + P^3/6 + P^4/24 and N = dt*(I + P/2 + P^2/6 + P^3/24)B,
-    P = dt*A.  Iterating the maps is identical to running the stages.
+    P = dt*A.  Iterating the maps is identical to running the stages.  A may
+    be a stack (..., n, n) sharing the input vector B.
     """
-    n = A.shape[0]
+    n = A.shape[-1]
     P = dt * A
     I = np.eye(n)
     P2 = P @ P
@@ -177,37 +187,55 @@ DIVERGENCE_LIMIT = 1e9
 
 
 def sample_count(dt, horizon):
+    """Samples on the grid t = k*dt, 0 <= t <= horizon; validates both."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if horizon < dt:
+        raise ValueError("horizon shorter than one step")
     # floor(horizon/dt) + 1 with a guard against float quotients landing
     # a hair under an integer (e.g. 0.075/0.01)
     return int(horizon / dt + 1e-9) + 1
 
 
+def clamp_divergence(X, Y):
+    """(p,) flags of rows whose states X (p, m, n), X[:, 0] = 0, left
+    |x_i| <= 1e9 or went non-finite.  From a flagged row's first bad state j
+    on, its outputs Y (p, <= m) repeat the last good sample Y[:, j-1]."""
+    bad = (~np.isfinite(X).all(axis=2)) | \
+        (np.abs(X) > DIVERGENCE_LIMIT).any(axis=2)
+    diverged = bad.any(axis=1)
+    for i in np.flatnonzero(diverged):
+        j = int(np.argmax(bad[i]))  # j >= 1: the initial state is zero
+        Y[i, j:] = Y[i, j - 1]
+    return diverged
+
+
+def batch_step(A, C, D, dt, nsamp):
+    """Unit-step responses Y (p, nsamp) and divergence flags of stacked
+    realizations, all stepped from rest by the RK4 maps in one loop."""
+    p, n, _ = A.shape
+    M, N = rk4_transition(A, np.eye(1, n)[0], dt)
+    X = np.zeros((p, nsamp, n))
+    x = np.zeros((p, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, nsamp):
+            x = np.einsum("pij,pj->pi", M, x) + N
+            X[:, k] = x
+        Y = np.einsum("pj,pkj->pk", C, X) + D[:, None]
+    return Y, clamp_divergence(X, Y)
+
+
 def step_response(tf, dt=0.01, horizon=15.0):
-    """Unit-step response of a proper/biproper TF by fixed-step RK4.
+    """Unit-step response of a proper/biproper TF by fixed-step RK4: the
+    single-row case of batch_step.
 
     Divergence (|x_i| > 1e9 or non-finite state) does not raise: the response
     is flagged and padded so that optimizers can penalize unstable gains.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if horizon < dt:
-        raise ValueError("horizon shorter than one step")
-    ss = to_state_space(tf)
-    M, N = rk4_transition(ss.A, ss.B, dt)
     nsamp = sample_count(dt, horizon)
-    t = np.arange(nsamp) * dt
-    y = np.empty(nsamp)
-    x = np.zeros(ss.order)
-    y[0] = ss.D  # x(0) = 0, unit step applied at t = 0
-    diverged = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, nsamp):
-            x = M @ x + N
-            if x.size and (not np.isfinite(x).all()
-                           or np.abs(x).max() > DIVERGENCE_LIMIT):
-                diverged = True
-                y[k:] = y[k - 1]
-                break
-            y[k] = ss.C @ x + ss.D
-    e = 1.0 - y
-    return StepResponse(dt, horizon, t, y, e, diverged)
+    ss = to_state_space(tf)
+    Y, diverged = batch_step(ss.A[None], ss.C[None], np.array([ss.D]), dt,
+                             nsamp)
+    y = Y[0]
+    return StepResponse(dt, horizon, np.arange(nsamp) * dt, y, 1.0 - y,
+                        bool(diverged[0]))

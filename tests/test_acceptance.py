@@ -154,9 +154,7 @@ def test_criterion_8_ga_matches_grid_oracle():
         return fitness(vals, div)
 
     seed = derive_seed(0, 5, 3)  # the sweep's (tau=0.25, ise) cell
-    result = run_ga(GaConfig(bounds=bounds, rng_seed=seed),
-                    evaluate=lambda g: float(eval_pop(g[None])[0]),
-                    evaluate_population=eval_pop)
+    result = run_ga(GaConfig(bounds=bounds, rng_seed=seed), eval_pop)
     ratio = result.best_index_value / best_grid
     assert ratio <= 1.05, (
         f"GA ise {result.best_index_value:.6f} vs grid best "

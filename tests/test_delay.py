@@ -136,6 +136,19 @@ def test_open_loop_delay_equals_shifted_undelayed_response():
     np.testing.assert_array_equal(shifted.y[:n], np.zeros(n))
 
 
+def test_open_loop_delay_line_shares_the_divergence_rule():
+    # pole at s = +2: the state crosses 1e9 at the same sample j on both
+    # paths, and both hold their output from j on
+    tf = TransferFunction([1.0], [1.0, 0.0, -4.0])
+    n = 30
+    plain = step_response(tf)
+    shifted = delayed_step_sim(tf, n * 0.01, feedback=False)
+    assert plain.diverged and shifted.diverged
+    j = int(np.argmax(plain.y == plain.y[-1])) + 1
+    np.testing.assert_array_equal(shifted.y[n:j], plain.y[:j - n])
+    np.testing.assert_array_equal(shifted.y[j:], plain.y[j - 1 - n])
+
+
 def test_delayed_step_sim_validation():
     with pytest.raises(ValueError):
         delayed_step_sim(UNITY, 0.1, dt=0.0)

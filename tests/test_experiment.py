@@ -233,6 +233,17 @@ def test_emit_csv_layout(tmp_path):
     assert float(first["delay"]) == 0.1
 
 
+def test_details_csv_numbers_parse_as_floats(tmp_path):
+    report = run_sweep(ExperimentConfig(**TINY))
+    with open(emit_csv(report, tmp_path)[2], newline="") as fh:
+        records = list(csv.DictReader(fh))
+    assert len(records) == 2
+    for record in records:
+        for key, cell in record.items():
+            if key != "method":
+                float(cell)  # GA gains once came out as "np.float64(...)"
+
+
 def test_emit_csv_six_significant_digits(tmp_path):
     report = synthetic_report()
     paths = emit_csv(report, tmp_path)

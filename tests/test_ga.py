@@ -11,10 +11,6 @@ BOWL_CENTER = np.array([0.5, 10.0, 30.0])
 BOWL_BOUNDS = GeneBounds([0.0, 0.0, 0.0], [1.2, 24.0, 120.0])
 
 
-def bowl_fitness(genes):
-    return 1.0 / (1e-6 + float(((np.asarray(genes) - BOWL_CENTER) ** 2).sum()))
-
-
 def bowl_fitness_pop(pop):
     return 1.0 / (1e-6 + ((pop - BOWL_CENTER) ** 2).sum(axis=1))
 
@@ -118,7 +114,7 @@ def test_mutate_rate_matches_probability():
 
 def test_run_ga_finds_the_bowl_center():
     config = GaConfig(bounds=BOWL_BOUNDS, rng_seed=1)
-    result = run_ga(config, bowl_fitness, bowl_fitness_pop)
+    result = run_ga(config, bowl_fitness_pop)
     rel_err = np.abs(result.best.genes - BOWL_CENTER) / BOWL_CENTER
     assert (rel_err <= 0.01).all()
     assert result.best_index_value == pytest.approx(1.0 / result.best.fitness)
@@ -126,28 +122,16 @@ def test_run_ga_finds_the_bowl_center():
 
 def test_run_ga_is_deterministic():
     config = GaConfig(bounds=BOWL_BOUNDS, rng_seed=3)
-    r1 = run_ga(config, bowl_fitness, bowl_fitness_pop)
-    r2 = run_ga(GaConfig(bounds=BOWL_BOUNDS, rng_seed=3),
-                bowl_fitness, bowl_fitness_pop)
+    r1 = run_ga(config, bowl_fitness_pop)
+    r2 = run_ga(GaConfig(bounds=BOWL_BOUNDS, rng_seed=3), bowl_fitness_pop)
     np.testing.assert_array_equal(r1.best.genes, r2.best.genes)
     assert r1.best.fitness == r2.best.fitness
     np.testing.assert_array_equal(r1.fitness_history, r2.fitness_history)
     assert r1.converged == r2.converged
 
 
-def test_run_ga_scalar_evaluate_matches_population_path():
-    config = GaConfig(bounds=BOWL_BOUNDS, pop_size=20, max_generations=15,
-                      rng_seed=5)
-    r1 = run_ga(config, bowl_fitness)
-    r2 = run_ga(GaConfig(bounds=BOWL_BOUNDS, pop_size=20, max_generations=15,
-                         rng_seed=5), bowl_fitness, bowl_fitness_pop)
-    np.testing.assert_array_equal(r1.best.genes, r2.best.genes)
-    np.testing.assert_array_equal(r1.fitness_history, r2.fitness_history)
-
-
 def test_run_ga_history_is_monotone():
-    result = run_ga(GaConfig(bounds=BOWL_BOUNDS, rng_seed=7),
-                    bowl_fitness, bowl_fitness_pop)
+    result = run_ga(GaConfig(bounds=BOWL_BOUNDS, rng_seed=7), bowl_fitness_pop)
     assert len(result.fitness_history) == 300
     assert (np.diff(result.fitness_history) >= 0.0).all()
 
@@ -160,7 +144,7 @@ def test_run_ga_population_stays_in_bounds():
         return bowl_fitness_pop(pop)
 
     run_ga(GaConfig(bounds=BOWL_BOUNDS, pop_size=30, max_generations=40,
-                    rng_seed=11), bowl_fitness, spy)
+                    rng_seed=11), spy)
     assert len(seen) == 40
     for pop in seen:
         assert pop.shape == (30, 3)
@@ -175,8 +159,7 @@ def test_run_ga_tolerates_non_finite_fitness():
         return f
 
     result = run_ga(GaConfig(bounds=BOWL_BOUNDS, pop_size=20,
-                             max_generations=30, rng_seed=13),
-                    bowl_fitness, patchy)
+                             max_generations=30, rng_seed=13), patchy)
     assert np.isfinite(result.best.fitness)
     assert np.isfinite(result.fitness_history).all()
 
@@ -184,7 +167,7 @@ def test_run_ga_tolerates_non_finite_fitness():
 def test_run_ga_flags_convergence_on_flat_objective():
     result = run_ga(GaConfig(bounds=BOWL_BOUNDS, pop_size=10,
                              max_generations=60, rng_seed=2),
-                    lambda g: 1.0, lambda pop: np.ones(len(pop)))
+                    lambda pop: np.ones(len(pop)))
     assert result.converged
     assert result.best.fitness == 1.0
 
@@ -205,7 +188,7 @@ def test_ga_config_validation():
 def test_ga_result_types():
     result = run_ga(GaConfig(bounds=BOWL_BOUNDS, pop_size=10,
                              max_generations=5, rng_seed=0),
-                    bowl_fitness, bowl_fitness_pop)
+                    bowl_fitness_pop)
     assert isinstance(result, GaResult)
     assert isinstance(result.best, Chromosome)
     assert BOWL_BOUNDS.contains(result.best.genes)

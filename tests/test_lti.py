@@ -196,6 +196,13 @@ def test_step_response_biproper_initial_value():
     assert resp.y[0] == 1.0
 
 
+def test_step_response_of_a_pure_gain():
+    # order-0 realization: no state, the output is the feedthrough
+    resp = step_response(TransferFunction([3.0], [2.0]))
+    np.testing.assert_array_equal(resp.y, 1.5)
+    assert not resp.diverged
+
+
 def test_step_response_error_channel_is_bit_exact():
     resp = step_response(TransferFunction([0.6, 12.0, 60.0],
                                           [1.0, 1.0, 12.6, 60.0]))
