@@ -1,10 +1,11 @@
-"""Time-delay models: DFR rational approximation and an exact delay line.
+"""Time-delay models: DFR rational approximation and two exact oracles.
 
 The tuning sweeps run entirely on the second-order DFR series, an all-pass
-rational approximation of e^{-s*tau}.  The sample-shift delay line exists as
-a ground-truth oracle: it realizes the delay exactly (a pure shift by
-round(tau/dt) samples), so closed-loop responses and stability thresholds
-computed with it validate the rational model.
+rational approximation of e^{-s*tau}.  Two ground truths validate that
+model: the sample-shift delay line realizes the delay in the time domain (a
+pure shift by round(tau/dt) samples) for closed-loop step responses, and
+true_margin gives the exact loop-gain stability margin of the delayed loop
+from its frequency response.
 """
 
 import logging
@@ -14,6 +15,7 @@ import numpy as np
 
 from .lti import (StepResponse, TransferFunction, clamp_divergence,
                   rk4_transition, sample_count, to_state_space)
+from .metrics import crossing_gain
 
 log = logging.getLogger(__name__)
 
@@ -130,40 +132,36 @@ def delayed_step_sim(inner, tau, dt=0.01, horizon=15.0, feedback=True):
                         diverged)
 
 
-def gain_threshold(inner, tau, dt=0.01, horizon=60.0, k_max=1e6,
-                   rel_tol=1e-3):
-    """Loop-gain multiplier at which the exact-delay loop stops decaying.
+# true_margin's crossover search: a log grid of w*tau, then secant steps
+CROSSOVER_GRID = np.geomspace(1e-4, 200.0, 4000)
+SECANT_STEPS = 5
 
-    Simulation-side twin of the Routh-based stability margin computed on the
-    rational model: scale the forward path by K, run the delay-line loop
-    over a long horizon, and call the loop unstable once the error envelope
-    stops shrinking (peak |e| over the final third of the horizon no smaller
-    than over the middle third, i.e. sustained or growing oscillation).
-    Doubling then bisection, as in the Routh search, but with a looser
-    default tolerance since each probe is a full simulation.
+
+def true_margin(inner, tau):
+    """Loop-gain multiplier c1 such that c*inner(s)*e^{-s tau} is stable for
+    c in (0, c1); c1 <= 1 means the nominal loop is unstable.
+
+    Roots reach the jw axis only where c*L(jw) = -1 (D-decomposition,
+    Neimark 1948), i.e. at c = -1/Re L on a phase crossover of
+    L(jw) = inner(jw)*e^{-jw tau} with Re L < 0.  A biproper inner adds a
+    neutral root chain at Re s = ln(c*|num0/den0|)/tau (Silva, Datta &
+    Bhattacharyya, IEEE TAC 47(2), 2002), so c1 <= |den0/num0|.
     """
+    if tau <= 0:
+        raise ValueError("true_margin needs a positive delay")
 
-    def grows(k):
-        resp = delayed_step_sim(
-            TransferFunction(k * inner.num, inner.den), tau, dt, horizon)
-        if resp.diverged:
-            return True
-        e = np.abs(resp.e)
-        n = len(e)
-        return e[2 * n // 3:].max() >= e[n // 3:2 * n // 3].max()
+    def loop_jw(w):
+        return inner(1j * w) * np.exp(-1j * w * tau)
 
-    if grows(1.0):
-        raise ValueError("nominal loop already oscillatory")
-    lo, hi = 1.0, 2.0
-    while not grows(hi):
-        lo = hi
-        if hi >= k_max:
-            return float("inf")
-        hi = min(hi * 2.0, k_max)
-    while hi - lo > rel_tol * lo:
-        mid = 0.5 * (lo + hi)
-        if grows(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    w = CROSSOVER_GRID / tau
+    f = loop_jw(w).imag
+    cross = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
+    w0, w1, f0, f1 = w[cross], w[cross + 1], f[cross], f[cross + 1]
+    for _ in range(SECANT_STEPS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w2 = w1 - f1 * (w1 - w0) / (f1 - f0)
+        w2 = np.where(np.isfinite(w2), w2, w1)  # converged: f1 == f0
+        w0, f0, w1, f1 = w1, f1, w2, loop_jw(w2).imag
+    extra = (abs(inner.den[0] / inner.num[0])
+             if len(inner.num) == len(inner.den) else ())
+    return crossing_gain(loop_jw, w1, 0.0, extra)

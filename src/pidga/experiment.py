@@ -56,8 +56,7 @@ class ExperimentConfig:
         for obj in self.objectives:
             if obj not in OBJECTIVES:
                 raise ValueError(f"unknown objective {obj!r}")
-        if self.dt <= 0 or self.horizon < self.dt:
-            raise ValueError("need dt > 0 and horizon >= dt")
+        sample_count(self.dt, self.horizon)
 
 
 @dataclass(frozen=True)
@@ -128,6 +127,17 @@ def loop_margin(gains, plant, tau):
         return math.nan
 
 
+def report_gains(gains, plant, tau, dt=0.01, horizon=15.0):
+    """(indices, measures with margin, valid) of one gain set's single-path
+    response; a diverged response gives nan records and valid=False."""
+    resp = simulate_gains(gains, plant, tau, dt, horizon)
+    if resp.diverged:
+        return (PerformanceIndices(*(math.nan,) * 5),
+                StandardMeasures(*(math.nan,) * 5), False)
+    meas = standard_measures(resp).with_margin(loop_margin(gains, plant, tau))
+    return indices(resp), meas, True
+
+
 # --------------------------------------------------------------------------
 # batch closed loop: the whole population becomes one stacked companion-form
 # system for lti.batch_step, the kernel whose single-row case also produces
@@ -166,14 +176,6 @@ def evaluate_objective(genes, plant, tau, objective, dt=0.01, horizon=15.0):
 # --------------------------------------------------------------------------
 # sweep
 
-def _nan_indices():
-    return PerformanceIndices(*(math.nan,) * 5)
-
-
-def _nan_measures():
-    return StandardMeasures(*(math.nan,) * 5)
-
-
 def _ga_config(config, bounds, seed):
     return GaConfig(bounds=bounds, pop_size=config.pop_size,
                     max_generations=config.generations,
@@ -191,14 +193,10 @@ def _tuned_row(config, plant, tau, objective, bounds, seed, retried):
 
     result = run_ga(_ga_config(config, bounds, seed), eval_pop)
     gains = PidGains(*result.best.genes.tolist())
-    resp = simulate_gains(gains, plant, tau, config.dt, config.horizon)
-    if resp.diverged:
-        return SweepRow(tau, f"ga-{objective}", gains, _nan_indices(),
-                        _nan_measures(), result.converged, seed, retried,
-                        valid=False)
-    meas = standard_measures(resp).with_margin(loop_margin(gains, plant, tau))
-    return SweepRow(tau, f"ga-{objective}", gains, indices(resp), meas,
-                    result.converged, seed, retried, valid=True)
+    idx, meas, valid = report_gains(gains, plant, tau, config.dt,
+                                    config.horizon)
+    return SweepRow(tau, f"ga-{objective}", gains, idx, meas,
+                    result.converged, seed, retried, valid)
 
 
 def run_sweep(config, progress=None):
@@ -216,12 +214,11 @@ def run_sweep(config, progress=None):
     for di, tau in enumerate(config.delays):
         plant = replace(config.plant, delay=tau)
         zn_gains = ziegler_nichols(plant)
-        resp = simulate_gains(zn_gains, plant, tau, config.dt, config.horizon)
-        zn_idx = indices(resp)
-        meas = standard_measures(resp).with_margin(
-            loop_margin(zn_gains, plant, tau))
+        zn_idx, meas, valid = report_gains(zn_gains, plant, tau, config.dt,
+                                           config.horizon)
         rows.append(SweepRow(tau, "zn", zn_gains, zn_idx, meas,
-                             converged=True, seed=config.master_seed))
+                             converged=True, seed=config.master_seed,
+                             valid=valid))
         say(f"delay {tau:g}: zn gains kd={zn_gains.kd:g} kp={zn_gains.kp:g} "
             f"ki={zn_gains.ki:g}")
         bounds = bounds_from_baseline(zn_gains, config.bounds_factor)

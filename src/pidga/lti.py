@@ -85,20 +85,26 @@ def pid_tf(gains):
     return TransferFunction([kd, kp, ki], [1.0, 0.0])
 
 
+def open_loop(controller, plant, delay=None):
+    """The loop L = controller*plant*delay, by polynomial products."""
+    if delay is None:
+        delay = UNITY
+    return TransferFunction(
+        poly_mul(poly_mul(controller.num, plant.num), delay.num),
+        poly_mul(poly_mul(controller.den, plant.den), delay.den))
+
+
 def closed_loop(controller, plant, delay=None):
-    """Unity-feedback closed loop T = L/(1+L) with L = controller*plant*delay.
+    """Unity-feedback closed loop T = L/(1+L) with L = open_loop(...).
 
     Built purely by polynomial arithmetic: T.num = num(L),
     T.den = num(L) + den(L).  Raises if the result is improper.
     """
-    if delay is None:
-        delay = UNITY
-    num_l = poly_mul(poly_mul(controller.num, plant.num), delay.num)
-    den_l = poly_mul(poly_mul(controller.den, plant.den), delay.den)
-    den_t = poly_add(den_l, num_l)
-    if len(num_l) > len(den_t):
+    loop = open_loop(controller, plant, delay)
+    den_t = poly_add(loop.den, loop.num)
+    if len(loop.num) > len(den_t):
         raise ValueError("closed loop is improper")
-    return TransferFunction(num_l, den_t)
+    return TransferFunction(loop.num, den_t)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lti import poly_add, poly_mul, poly_trim
+from .lti import open_loop, poly_add, poly_trim
 
 OBJECTIVES = ("mse", "itae", "iae", "ise", "itse")
 
@@ -128,8 +128,7 @@ def routh_stable(poly):
 
     The leading sign is normalized first.  A pivot at or below 1e-12 of the
     current row scale counts as a zero pivot and returns False: marginal
-    polynomials are "not strictly stable", which is exactly the boundary the
-    margin bisection hunts for.
+    polynomials are "not strictly stable".
     """
     c = poly_trim(poly)
     if len(c) == 1:
@@ -155,36 +154,36 @@ def routh_stable(poly):
     return True
 
 
-def stability_margin(controller, plant, delay=None, k_max=1e6, rel_tol=1e-4):
-    """Smallest loop-gain multiplier K_c > 1 that destabilizes the loop.
+def crossing_gain(loop_jw, w, above, extra=()):
+    """Smallest gain c > above that puts a root of 1 + c*L on the jw axis:
+    c = -1/L(jw) at the phase crossovers w of loop_jw(w) = L(jw), where L is
+    real, or one of the extra candidate gains; inf if there is none."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.append(-1.0 / np.real(loop_jw(w)), extra)
+    c = c[c > above]
+    return float(c.min()) if c.size else math.inf
 
-    The whole loop L = controller*plant*delay is scaled by K_c and the
-    characteristic polynomial den(L) + K_c*num(L) is tested with
-    routh_stable: double K_c until the test fails, then bisect to relative
-    width rel_tol.  Returns math.inf if still stable at k_max; raises if the
-    nominal (K_c = 1) loop is already unstable.
+
+def stability_margin(controller, plant, delay=None):
+    """Smallest loop-gain multiplier K > 1 that destabilizes the loop.
+
+    The whole loop L = num_L/den_L = controller*plant*delay is scaled by K.
+    From a Routh-stable nominal loop (K = 1; raises otherwise) the roots of
+    den_L + K*num_L first leave the left half-plane through s = jw, at
+    K = -den_L(jw)/num_L(jw) for a real root w >= 0 of
+    Im[den_L(jw)*conj(num_L(jw))], or through infinity, at
+    K = -lead(den_L)/lead(num_L) when the degrees are equal.  Returns the
+    smallest such K above 1, math.inf if none.
     """
-    num_l = poly_mul(controller.num, plant.num)
-    den_l = poly_mul(controller.den, plant.den)
-    if delay is not None:
-        num_l = poly_mul(num_l, delay.num)
-        den_l = poly_mul(den_l, delay.den)
-
-    def stable(k):
-        return routh_stable(poly_add(den_l, k * num_l))
-
-    if not stable(1.0):
+    loop = open_loop(controller, plant, delay)
+    if not routh_stable(poly_add(loop.den, loop.num)):
         raise ValueError("nominal closed loop is unstable")
-    lo, hi = 1.0, 2.0
-    while stable(hi):
-        lo = hi
-        if hi >= k_max:
-            return math.inf
-        hi = min(hi * 2.0, k_max)
-    while hi - lo > rel_tol * lo:
-        mid = 0.5 * (lo + hi)
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # den_L(jw), num_L(jw) as polynomials in w: c_k s^k -> c_k j^k w^k
+    j_pow = np.array([1, 1j, -1, -1j])
+    den_jw, num_jw = (c * j_pow[np.arange(len(c))[::-1] % 4]
+                      for c in (loop.den, loop.num))
+    w = np.roots(np.polymul(den_jw, num_jw.conj()).imag)
+    w = np.abs(w.real[np.abs(w.imag) <= 1e-6 * np.abs(w)])
+    extra = (-loop.den[0] / loop.num[0] if len(loop.num) == len(loop.den)
+             else ())
+    return crossing_gain(lambda x: loop(1j * x), w, 1.0, extra)

@@ -90,6 +90,7 @@ def test_criterion_4_dual_oracle_cross_check():
         f"numerical (for t >= 1 s the simulators agree to {tail:.4f})")
 
 
+@pytest.mark.slow
 def test_criterion_5_ga_dominates_baseline_all_cells(default_report):
     report = default_report
     assert report.n_invalid == 0, "sweep produced invalid rows"
@@ -106,6 +107,7 @@ def test_criterion_5_ga_dominates_baseline_all_cells(default_report):
         f"{report.n_retried} cells needed the alternate seed (allowed: 2)")
 
 
+@pytest.mark.slow
 def test_criterion_6_overshoot_halved(default_report):
     avg = default_report.average_measures()
     zn_po = avg["zn"].percent_overshoot
@@ -161,6 +163,7 @@ def test_criterion_8_ga_matches_grid_oracle():
         f"{best_grid:.6f} (ratio {ratio:.4f})")
 
 
+@pytest.mark.slow
 def test_criterion_9_deterministic_csv(default_report, repeat_report,
                                        tmp_path):
     d1 = tmp_path / "first"

@@ -64,6 +64,13 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_nonpositive_dt_exits_2_with_the_sampling_message(tmp_path, capsys):
+    path = write_config(tmp_path, "dt = 0\n")
+    rc = cli.main(["baseline", "--config", path])
+    assert rc == 2
+    assert "dt must be positive" in capsys.readouterr().err
+
+
 def test_flags_override_config_file(tmp_path):
     path = write_config(tmp_path)
 

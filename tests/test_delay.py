@@ -1,25 +1,21 @@
-"""DFR delay approximation and the exact delay-line oracle."""
+"""DFR delay approximation and the exact-delay oracles."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
 
-from pidga.delay import (DelayLine, delayed_step_sim, dfr_delay,
-                         gain_threshold)
-from pidga.experiment import simulate_gains
-from pidga.lti import (TransferFunction, UNITY, pid_tf, poly_mul,
-                       step_response)
+from pidga.delay import DelayLine, delayed_step_sim, dfr_delay, true_margin
+from pidga.experiment import DEFAULT_DELAYS, simulate_gains
+from pidga.lti import TransferFunction, UNITY, open_loop, pid_tf, step_response
 from pidga.metrics import stability_margin
-from pidga.tuners import PlantFolpd, ziegler_nichols
+from pidga.tuners import PidGains, PlantFolpd, ziegler_nichols
 
 
 def _forward_path(gains, plant):
     """Controller*plant product (the delay-free forward chain)."""
-    c = pid_tf(gains)
-    lag = plant.lag_tf()
-    return TransferFunction(poly_mul(c.num, lag.num),
-                            poly_mul(c.den, lag.den))
+    return open_loop(pid_tf(gains), plant.lag_tf())
 
 
 # ------------------------------------------------------------------ dfr_delay
@@ -193,28 +189,62 @@ def test_divergent_delay_loop_is_flagged():
     assert resp.diverged or env_end >= env_mid
 
 
-# ------------------------------------------------------------- gain_threshold
+# ---------------------------------------------------------------- true_margin
 
-def test_gain_threshold_agrees_with_routh_margin():
-    """Dual-oracle cross-check at tau = 1 (recorded values).
+def _pade(tau, m):
+    """Closed-form [m/m] Pade approximant of e^{-s tau}."""
+    f = math.factorial
+    c = [f(2 * m - k) * f(m) / (f(2 * m) * f(k) * f(m - k)) * tau ** k
+         for k in range(m + 1)]
+    den = np.array(c[::-1])
+    return TransferFunction(den * (-1.0) ** np.arange(m, -1, -1), den)
 
-    The Routh margin runs on the rational delay model, the threshold search
-    on the exact delay line; the two disagree only through the delay
-    approximation, measured below 1% here.
-    """
+
+def test_true_margin_of_zn_gains_at_unit_delay():
+    plant = PlantFolpd(1.0, 1.0, 1.0)
+    inner = _forward_path(ziegler_nichols(plant), plant)
+    assert true_margin(inner, 1.0) == pytest.approx(1.569467, abs=1e-6)
+
+
+def test_true_margin_matches_pade_8_routh_margin():
     plant = PlantFolpd(1.0, 1.0, 1.0)
     gains = ziegler_nichols(plant)
-    routh = stability_margin(pid_tf(gains), plant.lag_tf(), dfr_delay(1.0).tf)
-    sim = gain_threshold(_forward_path(gains, plant), 1.0)
-    assert routh == pytest.approx(1.5712, abs=2e-3)
-    assert sim == pytest.approx(1.586, abs=5e-3)
-    assert abs(sim - routh) / routh <= 0.10
+    pade = stability_margin(pid_tf(gains), plant.lag_tf(), _pade(1.0, 8))
+    exact = true_margin(_forward_path(gains, plant), 1.0)
+    assert exact == pytest.approx(pade, rel=1e-9)
 
 
-def test_gain_threshold_rejects_oscillatory_nominal_loop():
+def test_true_margin_of_delayed_integrator_lag():
+    # e^{-s}/(s(s+1)): phase crossover at w + atan(w) = pi/2, where
+    # c = 1/|L(jw)| = w*sqrt(1 + w^2)
+    w = 1.0
+    for _ in range(50):
+        w -= (w + math.atan(w) - math.pi / 2) / (1.0 + 1.0 / (1.0 + w * w))
+    margin = true_margin(TransferFunction([1.0], [1.0, 1.0, 0.0]), 1.0)
+    assert margin == pytest.approx(w * math.sqrt(1.0 + w * w), rel=1e-12)
+    assert margin == pytest.approx(1.134915, abs=1e-6)
+
+
+def test_true_margin_at_twice_zn_gains_is_half_and_unstable():
+    # the nominal loop is already unstable here; the margin says so (<= 1)
+    # instead of raising
     plant = PlantFolpd(1.0, 1.0, 1.0)
-    gains = ziegler_nichols(plant)
-    inner = _forward_path(gains, plant)
+    inner = _forward_path(ziegler_nichols(plant), plant)
     hot = TransferFunction(2.0 * inner.num, inner.den)
-    with pytest.raises(ValueError):
-        gain_threshold(hot, 1.0)
+    assert true_margin(hot, 1.0) == true_margin(inner, 1.0) / 2.0
+    assert true_margin(hot, 1.0) <= 1.0
+
+
+def test_true_margin_neutral_chain_bound():
+    # c*K*kd > T puts the neutral root chain in the right half-plane
+    inner = _forward_path(PidGains(1.25, 1.2, 0.6), PlantFolpd(1.0, 1.0, 1.0))
+    assert true_margin(inner, 1.0) == pytest.approx(0.8, rel=1e-15)
+
+
+@pytest.mark.parametrize("tau", DEFAULT_DELAYS)
+def test_true_margin_tracks_dfr_margin(tau):
+    plant = PlantFolpd(1.0, 1.0, tau)
+    gains = ziegler_nichols(plant)
+    dfr = stability_margin(pid_tf(gains), plant.lag_tf(), dfr_delay(tau).tf)
+    exact = true_margin(_forward_path(gains, plant), tau)
+    assert abs(dfr - exact) / exact <= 0.005

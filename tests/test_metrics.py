@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from pidga.lti import StepResponse, TransferFunction, UNITY, closed_loop, pid_tf
+from pidga.delay import dfr_delay
+from pidga.lti import (StepResponse, TransferFunction, UNITY, closed_loop,
+                       open_loop, pid_tf, poly_add)
 from pidga.metrics import (DIVERGED_FITNESS, FITNESS_CAP, OBJECTIVES,
                            fitness, index_sums, indices, routh_stable,
                            stability_margin, standard_measures)
+from pidga.tuners import PlantFolpd, ziegler_nichols
 
 
 def make_response(y, dt, diverged=False):
@@ -249,3 +252,32 @@ def test_stability_margin_matches_closed_loop_divergence():
         resp = step_response(t, horizon=60.0)
         settled = np.abs(resp.e[-100:]).max() < 0.5
         assert settled == stable
+
+
+def test_stability_margin_textbook_gains_are_exact():
+    loop = TransferFunction([1.0], [1.0, 3.0, 2.0, 0.0])
+    hot = TransferFunction([2.0], [1.0, 3.0, 2.0, 0.0])
+    assert stability_margin(loop, UNITY) == pytest.approx(6.0, abs=1e-12)
+    assert stability_margin(hot, UNITY) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_stability_margin_brackets_the_routh_boundary():
+    # random gain sets in the [0, 2 x Z-N] box: Routh-stable just below the
+    # margin, not just above it
+    rng = np.random.default_rng(11)
+    checked = 0
+    for tau in (0.01, 0.1, 1.0):
+        plant = PlantFolpd(1.0, 1.0, tau)
+        zn = np.array(ziegler_nichols(plant))
+        delay = dfr_delay(tau).tf
+        for _ in range(200):
+            controller = pid_tf(rng.uniform(0.0, 2.0 * zn))
+            loop = open_loop(controller, plant.lag_tf(), delay)
+            if not routh_stable(poly_add(loop.den, loop.num)):
+                continue
+            k = stability_margin(controller, plant.lag_tf(), delay)
+            assert routh_stable(poly_add(loop.den, k * (1 - 1e-6) * loop.num))
+            assert not routh_stable(
+                poly_add(loop.den, k * (1 + 1e-6) * loop.num))
+            checked += 1
+    assert checked >= 300
