@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import (StepResponse, TransferFunction, clamp_divergence,
-                  rk4_transition, sample_count, to_state_space)
+from .lti import (StepResponse, TransferFunction, block_step,
+                  clamp_divergence, divergence_mask, rk4_transition,
+                  sample_count, to_state_space)
 from .metrics import crossing_gain
 
 log = logging.getLogger(__name__)
@@ -92,41 +93,46 @@ def delayed_step_sim(inner, tau, dt=0.01, horizon=15.0, feedback=True):
     """Unit-step response with the delay realized exactly as a sample shift.
 
     inner is the forward-path transfer function (controller*plant product),
-    realized in state space and stepped with the same RK4 scheme as the
+    realized in state space and stepped with the same RK4 maps as the
     rational simulations; its input is held constant across each step.  The
     delay-line output is the measured signal y, and with feedback=True it is
     also fed back, closing the loop e = 1 - y.  feedback=False leaves the
     chain open (the delayed step response of inner itself).
+
+    The open chain is lti.block_step's response of inner shifted by
+    n = round(tau/dt) samples, clamped from its first bad state's sample
+    index on, so it equals step_response(inner) shifted, bit for bit.  The
+    closed loop feeds each output back into the next input, so it steps one
+    sample per iteration and builds its divergence mask from its own states.
 
     The exact loop cannot respond before the dead time, so y is identically
     zero for t < tau regardless of any direct feedthrough in inner.
     """
     nsamp = sample_count(dt, horizon)
     ss = to_state_space(inner)
-    C = ss.C[None]
-    M, N = rk4_transition(ss.A[None], ss.B, dt)
     line = DelayLine(dt, tau)
-    y = np.empty((1, nsamp))
-    X = np.zeros((1, nsamp + 1, ss.order))
-    x = X[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(nsamp):
-            # the batch_step expressions, so an open chain reproduces
-            # step_response bit for bit
-            cx = np.einsum("pj,pkj->pk", C, x[:, None])[0, 0]
-            if line.n > 0:
-                yk = line.peek()
-            elif feedback:
-                # zero-length line: the loop is algebraic through D
-                yk = (cx + ss.D) / (1.0 + ss.D)
-            else:
-                yk = cx + ss.D
-            y[0, k] = yk
-            u = 1.0 - yk if feedback else 1.0
-            line.push(cx + ss.D * u)
-            x = np.einsum("pij,pj->pi", M, x) + N * u
-            X[:, k + 1] = x
-    diverged = bool(clamp_divergence(X, y)[0])
+    if not feedback:
+        Y, bad = block_step(ss.A[None], ss.C[None], np.array([ss.D]), dt,
+                            nsamp)
+        y = np.zeros((1, nsamp))
+        y[:, line.n:] = Y[:, :max(nsamp - line.n, 0)]
+    else:
+        M, N = rk4_transition(ss.A, ss.B, dt)
+        y = np.empty((1, nsamp))
+        X = np.zeros((nsamp + 1, ss.order))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(nsamp):
+                cx = ss.C @ X[k]
+                if line.n > 0:
+                    yk = line.peek()
+                else:  # zero-length line: the loop is algebraic through D
+                    yk = (cx + ss.D) / (1.0 + ss.D)
+                y[0, k] = yk
+                u = 1.0 - yk
+                line.push(cx + ss.D * u)
+                X[k + 1] = M @ X[k] + N * u
+        bad = divergence_mask(X)[None]
+    diverged = bool(clamp_divergence(bad, y)[0])
     y = y[0]
     return StepResponse(dt, horizon, np.arange(nsamp) * dt, y, 1.0 - y,
                         diverged)

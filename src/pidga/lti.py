@@ -8,6 +8,7 @@ contributed by a PID controller is exact by construction, so the integrator
 copes with unreduced forms like s/s.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +158,9 @@ def rk4_transition(A, B, dt):
     For a linear system with the input held constant over the step, the four
     RK4 stages collapse algebraically to x+ = M x + N u with
     M = I + P + P^2/2 + P^3/6 + P^4/24 and N = dt*(I + P/2 + P^2/6 + P^3/24)B,
-    P = dt*A.  Iterating the maps is identical to running the stages.  A may
-    be a stack (..., n, n) sharing the input vector B.
+    P = dt*A.  Iterating the maps one step at a time is identical to
+    running the stages; block_step's powers of M match that only up to
+    rounding.  A may be a stack (..., n, n) sharing the input vector B.
     """
     n = A.shape[-1]
     P = dt * A
@@ -203,32 +205,68 @@ def sample_count(dt, horizon):
     return int(horizon / dt + 1e-9) + 1
 
 
-def clamp_divergence(X, Y):
-    """(p,) flags of rows whose states X (p, m, n), X[:, 0] = 0, left
-    |x_i| <= 1e9 or went non-finite.  From a flagged row's first bad state j
-    on, its outputs Y (p, <= m) repeat the last good sample Y[:, j-1]."""
-    bad = (~np.isfinite(X).all(axis=2)) | \
-        (np.abs(X) > DIVERGENCE_LIMIT).any(axis=2)
+def divergence_mask(X):
+    """(..., m) mask of states X (..., m, n) that left |x_i| <= 1e9 or went
+    non-finite (a nan fails the comparison)."""
+    return ~(np.abs(X) <= DIVERGENCE_LIMIT).all(axis=-1)
+
+
+def clamp_divergence(bad, Y):
+    """(p,) flags of rows whose state mask bad (p, m) has a bad sample; the
+    initial state, bad[:, 0], is zero and good.  From a flagged row's first
+    bad state j on, its outputs Y (p, <= m) repeat the last good sample
+    Y[:, j-1]."""
     diverged = bad.any(axis=1)
     for i in np.flatnonzero(diverged):
-        j = int(np.argmax(bad[i]))  # j >= 1: the initial state is zero
+        j = int(np.argmax(bad[i]))
         Y[i, j:] = Y[i, j - 1]
     return diverged
 
 
-def batch_step(A, C, D, dt, nsamp):
-    """Unit-step responses Y (p, nsamp) and divergence flags of stacked
-    realizations, all stepped from rest by the RK4 maps in one loop."""
+def block_step(A, C, D, dt, nsamp):
+    """Unclamped unit-step responses Y (p, nsamp) and state masks bad
+    (p, nsamp) of stacked realizations, stepped from rest by the RK4 maps.
+
+    The samples advance in blocks of B = round(sqrt(nsamp - 1)): with
+    P_j = M^j and S_j = sum_{i<j} M^i N for j = 1..B, one stacked product
+    x_{k+j} = P_j x_k + S_j gives a block's B states per row, which yield
+    its outputs and mask and are then dropped, so no (p, nsamp, n) state
+    array is ever held.  About 2*sqrt(nsamp) numpy calls replace nsamp; the
+    states match the one-step recursion up to rounding.
+    """
     p, n, _ = A.shape
     M, N = rk4_transition(A, np.eye(1, n)[0], dt)
-    X = np.zeros((p, nsamp, n))
-    x = np.zeros((p, n))
+    nb = max(1, round(math.sqrt(nsamp - 1)))
+    # P[:, :, j-1] = M^j (rows i of each power along axis 1, so that a block
+    # comes out as (p, n, B) and its mask reduces over a leading axis)
+    P = np.empty((p, n, nb, n))
+    S = np.empty((p, n, nb))
+    Y = np.empty((p, nsamp))
+    bad = np.zeros((p, nsamp), dtype=bool)
+    Y[:, 0] = D
+    x = np.zeros((p, n, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, nsamp):
-            x = np.einsum("pij,pj->pi", M, x) + N
-            X[:, k] = x
-        Y = np.einsum("pj,pkj->pk", C, X) + D[:, None]
-    return Y, clamp_divergence(X, Y)
+        Mj, Sj = M, N[..., None]
+        for j in range(nb):
+            P[:, :, j] = Mj
+            S[:, :, j] = Sj[..., 0]
+            Mj = M @ Mj
+            Sj = M @ Sj + N[..., None]
+        for k in range(1, nsamp, nb):
+            m = min(nb, nsamp - k)
+            X = (P[:, :, :m].reshape(p, n * m, n) @ x).reshape(p, n, m) \
+                + S[:, :, :m]
+            Y[:, k:k + m] = (C[:, None] @ X)[:, 0] + D[:, None]
+            bad[:, k:k + m] = divergence_mask(X.transpose(0, 2, 1))
+            x = X[:, :, -1:]
+    return Y, bad
+
+
+def batch_step(A, C, D, dt, nsamp):
+    """Unit-step responses Y (p, nsamp) and divergence flags (p,) of stacked
+    realizations: block_step's outputs, clamped by clamp_divergence."""
+    Y, bad = block_step(A, C, D, dt, nsamp)
+    return Y, clamp_divergence(bad, Y)
 
 
 def step_response(tf, dt=0.01, horizon=15.0):

@@ -39,12 +39,11 @@ def index_sums(e, t, dt, horizon):
     Vectorized: e may be a single trace (n,) or a stack (..., n) sharing the
     time grid t, so a whole GA population evaluates in one call.
     """
-    ae = np.abs(e)
-    se = e * e
-    iae = ae.sum(axis=-1) * dt
-    ise = se.sum(axis=-1) * dt
-    itae = (ae * t).sum(axis=-1) * dt
-    itse = (se * t).sum(axis=-1) * dt
+    # one (2, n) x (n,) product per row and error power; matmul runs it
+    # row by row, so a stacked row sums exactly as it would alone
+    w = np.stack([np.ones_like(t), t]) * dt
+    iae, itae = np.moveaxis((w @ np.abs(e)[..., None])[..., 0], -1, 0)
+    ise, itse = np.moveaxis((w @ (e * e)[..., None])[..., 0], -1, 0)
     mse = ise / horizon
     return mse, itae, iae, ise, itse
 
@@ -126,18 +125,25 @@ def standard_measures(resp):
 def routh_stable(poly):
     """Strict Hurwitz test: every first-column Routh entry positive.
 
-    The leading sign is normalized first.  A pivot at or below 1e-12 of the
-    current row scale counts as a zero pivot and returns False: marginal
-    polynomials are "not strictly stable".
+    The leading sign is normalized first.  Then s is rescaled by
+    r = |c_0/c_deg|^(1/deg), multiplying c_k (of s^k) by r^k: the roots'
+    real parts keep their signs, and the leading and constant coefficients
+    get one magnitude, so a badly scaled polynomial is not judged by its
+    tiny coefficients.  A zero constant term is a root at 0.  A pivot at or
+    below 1e-12 of the current row scale counts as a zero pivot and returns
+    False: marginal polynomials are "not strictly stable".
     """
     c = poly_trim(poly)
     if len(c) == 1:
         if c[0] == 0:
             raise ValueError("zero polynomial")
         raise ValueError("constant polynomial: stability test needs degree >= 1")
+    if c[-1] == 0:
+        return False
     if c[0] < 0:
         c = -c
     deg = len(c) - 1
+    c = c * abs(c[-1] / c[0]) ** (np.arange(deg, -1, -1) / deg)
     width = deg // 2 + 1
     r0 = np.zeros(width)
     r1 = np.zeros(width)

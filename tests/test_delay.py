@@ -8,8 +8,9 @@ import pytest
 
 from pidga.delay import DelayLine, delayed_step_sim, dfr_delay, true_margin
 from pidga.experiment import DEFAULT_DELAYS, simulate_gains
-from pidga.lti import TransferFunction, UNITY, open_loop, pid_tf, step_response
-from pidga.metrics import stability_margin
+from pidga.lti import (TransferFunction, UNITY, closed_loop, open_loop,
+                       pid_tf, step_response)
+from pidga.metrics import routh_stable, stability_margin
 from pidga.tuners import PidGains, PlantFolpd, ziegler_nichols
 
 
@@ -212,6 +213,19 @@ def test_true_margin_matches_pade_8_routh_margin():
     pade = stability_margin(pid_tf(gains), plant.lag_tf(), _pade(1.0, 8))
     exact = true_margin(_forward_path(gains, plant), 1.0)
     assert exact == pytest.approx(pade, rel=1e-9)
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.1, 0.25])
+def test_routh_judges_badly_scaled_pade_8_loops(tau):
+    # the Pade [8/8] loop's coefficients span about tau^8/5e8 to 1; every
+    # root has Re s <= -1.97 at these delays
+    plant = PlantFolpd(1.0, 1.0, tau)
+    gains = ziegler_nichols(plant)
+    pade = _pade(tau, 8)
+    assert routh_stable(closed_loop(pid_tf(gains), plant.lag_tf(), pade).den)
+    margin = stability_margin(pid_tf(gains), plant.lag_tf(), pade)
+    exact = true_margin(_forward_path(gains, plant), tau)
+    assert margin == pytest.approx(exact, rel=1e-9)
 
 
 def test_true_margin_of_delayed_integrator_lag():

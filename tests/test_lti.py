@@ -1,11 +1,14 @@
 """Polynomial algebra, transfer functions, realizations, step responses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pidga.lti import (DIVERGENCE_LIMIT, TransferFunction, UNITY, closed_loop,
-                       pid_tf, poly_add, poly_mul, poly_trim, rk4_transition,
-                       sample_count, step_response, to_state_space)
+from pidga.lti import (DIVERGENCE_LIMIT, TransferFunction, UNITY,
+                       batch_step, closed_loop, pid_tf, poly_add, poly_mul,
+                       poly_trim, realize, rk4_transition, sample_count,
+                       step_response, to_state_space)
 
 
 # ---------------------------------------------------------------- polynomials
@@ -245,3 +248,74 @@ def test_step_response_integrates_marginal_integrator_pole():
     assert not resp.diverged
     # P control of a first-order lag settles at K/(1+K) = 0.5
     assert resp.y[-1] == pytest.approx(0.5, abs=1e-6)
+
+
+# --------------------------------------------------------------- batch_step
+
+def _stable_rows(rng, p, order):
+    """(A, C, D) of p random stable biproper realizations of one order:
+    real poles in [-5, -0.5] and, from order 2, one pair -a +- bj."""
+    den = np.empty((p, order + 1))
+    for i in range(p):
+        poles = list(-rng.uniform(0.5, 5.0, order))
+        if order >= 2:
+            a, b = rng.uniform(0.3, 2.0), rng.uniform(0.5, 5.0)
+            poles[:2] = [complex(-a, b), complex(-a, -b)]
+        den[i] = np.poly(poles).real
+    return realize(rng.standard_normal((p, order + 1)), den)
+
+
+def _reference_step(A, C, D, dt, nsamp):
+    """The one-step recursion x <- Mx + N, y = Cx + D, with every state."""
+    p, n, _ = A.shape
+    M, N = rk4_transition(A, np.eye(1, n)[0], dt)
+    X = np.zeros((p, nsamp, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, nsamp):
+            X[:, k] = (M @ X[:, k - 1, :, None])[..., 0] + N
+        Y = (X @ C[..., None])[..., 0] + D[:, None]
+    return Y, X
+
+
+@pytest.mark.parametrize("nsamp", [2, 3, 40, 1501, 1502])
+@pytest.mark.parametrize("order", range(5))
+def test_batch_step_matches_one_step_recursion(order, nsamp):
+    rng = np.random.default_rng(100 * order + nsamp)
+    for p in (1, 7):
+        A, C, D = _stable_rows(rng, p, order)
+        Y, diverged = batch_step(A, C, D, 0.01, nsamp)
+        ref, _ = _reference_step(A, C, D, 0.01, nsamp)
+        assert Y.shape == (p, nsamp) and not diverged.any()
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert (np.abs(Y - ref) <= 1e-12 * scale).all()
+
+
+def test_batch_step_clamps_like_the_recursion():
+    # a pole at s = +2 among stable rows: the same rows are flagged, and
+    # each flagged row holds its output from the recursion's first bad state
+    rng = np.random.default_rng(5)
+    A, C, D = _stable_rows(rng, 4, 2)
+    hot = to_state_space(TransferFunction([1.0], [1.0, 0.0, -4.0]))
+    A[2], C[2], D[2] = hot.A, hot.C, hot.D
+    Y, diverged = batch_step(A, C, D, 0.01, 1501)
+    ref, X = _reference_step(A, C, D, 0.01, 1501)
+    bad = ~(np.abs(X) <= DIVERGENCE_LIMIT).all(axis=2)
+    np.testing.assert_array_equal(diverged, bad.any(axis=1))
+    assert diverged.tolist() == [False, False, True, False]
+    j = int(np.argmax(bad[2]))
+    assert 1 < j < 1500
+    np.testing.assert_array_equal(Y[2, j:], Y[2, j - 1])
+    assert Y[2, j - 1] != Y[2, j - 2]
+    np.testing.assert_allclose(Y[2, :j], ref[2, :j], rtol=1e-12)
+
+
+def test_batch_step_never_holds_the_state_history():
+    # the full (p, nsamp, n) state array alone would be 38 MB here
+    A, C, D = _stable_rows(np.random.default_rng(8), 800, 4)
+    tracemalloc.start()
+    try:
+        batch_step(A, C, D, 0.01, 1501)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
