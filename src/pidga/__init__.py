@@ -1,15 +1,14 @@
 """pidga: GA-based PID auto-tuning for first-order-lag-plus-delay plants.
 
 Closed-loop simulation runs on a second-order all-pass rational delay
-approximation; the true delay validates it, through an exact sample-shift
-delay line for step responses and the exact loop-gain margin of the delayed
-loop.  A real-coded genetic algorithm searches (kd, kp, ki) inside bounds
+approximation; the true delay validates it, through a closed-loop step
+response with the delay as an exact sample shift and the exact loop-gain
+margin of the delayed loop.  A real-coded genetic algorithm searches (kd, kp, ki) inside bounds
 derived from the Ziegler-Nichols baseline, minimizing one of five
 error-integral objectives.
 """
 
-from .delay import (DelayApprox, DelayLine, delayed_step_sim, dfr_delay,
-                    true_margin)
+from .delay import DelayApprox, delayed_step_sim, dfr_delay, true_margin
 from .experiment import (DEFAULT_DELAYS, ExperimentConfig, SweepReport,
                          SweepRow, derive_seed, emit_csv, evaluate_objective,
                          run_sweep, simulate_gains)
@@ -28,9 +27,9 @@ from .tuners import (GeneBounds, PidGains, PlantFolpd, bounds_from_baseline,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_DELAYS", "Chromosome", "DelayApprox", "DelayLine",
-    "ExperimentConfig", "GaConfig", "GaResult", "GeneBounds", "OBJECTIVES",
-    "PerformanceIndices", "PidGains", "PlantFolpd", "StandardMeasures",
+    "DEFAULT_DELAYS", "Chromosome", "DelayApprox", "ExperimentConfig",
+    "GaConfig", "GaResult", "GeneBounds", "OBJECTIVES", "PerformanceIndices",
+    "PidGains", "PlantFolpd", "StandardMeasures",
     "StateSpace", "StepResponse", "SweepReport", "SweepRow",
     "TransferFunction", "arithmetic_crossover", "bounds_from_baseline",
     "closed_loop", "delayed_step_sim", "derive_seed", "dfr_delay",

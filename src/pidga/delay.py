@@ -2,8 +2,8 @@
 
 The tuning sweeps run entirely on the second-order DFR series, an all-pass
 rational approximation of e^{-s*tau}.  Two ground truths validate that
-model: the sample-shift delay line realizes the delay in the time domain (a
-pure shift by round(tau/dt) samples) for closed-loop step responses, and
+model: delayed_step_sim gives the closed-loop step response with the delay
+realized in the time domain (a pure shift by round(tau/dt) samples), and
 true_margin gives the exact loop-gain stability margin of the delayed loop
 from its frequency response.
 """
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import (StepResponse, TransferFunction, block_step,
-                  clamp_divergence, divergence_mask, rk4_transition,
-                  sample_count, to_state_space)
+from .lti import (StepResponse, TransferFunction, clamp_divergence,
+                  divergence_mask, rk4_transition, sample_count,
+                  to_state_space)
 from .metrics import crossing_gain
 
 log = logging.getLogger(__name__)
@@ -49,91 +49,44 @@ def dfr_delay(tau):
                        TransferFunction([c2, -c1, 1.0], [c2, c1, 1.0]))
 
 
-class DelayLine:
-    """Ring buffer delaying a sampled signal by round(tau/dt) samples.
-
-    Output at step k is the input pushed at step k - n, zero before any
-    input has propagated through.  Single-owner mutable state: one simulation
-    at a time.
-    """
-
-    def __init__(self, dt, tau):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if tau < 0:
-            raise ValueError("negative delay")
-        ratio = tau / dt
-        n = int(round(ratio))
-        if abs(ratio - n) > 1e-9:
-            log.warning("delay %.6g is not a multiple of dt=%.6g; "
-                        "rounding to %d samples", tau, dt, n)
-        self.dt = dt
-        self.tau = tau
-        self.n = n
-        self._buf = np.zeros(n)
-        self._head = 0
-
-    def peek(self):
-        """The value about to come out (input from n steps ago)."""
-        if self.n == 0:
-            raise ValueError("zero-length delay line has no stored sample")
-        return self._buf[self._head]
-
-    def push(self, value):
-        """Push one input sample; returns the sample delayed by n steps."""
-        if self.n == 0:
-            return value
-        out = self._buf[self._head]
-        self._buf[self._head] = value
-        self._head = (self._head + 1) % self.n
-        return out
-
-
-def delayed_step_sim(inner, tau, dt=0.01, horizon=15.0, feedback=True):
-    """Unit-step response with the delay realized exactly as a sample shift.
+def delayed_step_sim(inner, tau, dt=0.01, horizon=15.0):
+    """Unit-step response of the loop closed around inner(s)*e^{-s tau},
+    with the delay realized exactly as a shift by n = round(tau/dt) samples.
 
     inner is the forward-path transfer function (controller*plant product),
     realized in state space and stepped with the same RK4 maps as the
-    rational simulations; its input is held constant across each step.  The
-    delay-line output is the measured signal y, and with feedback=True it is
-    also fed back, closing the loop e = 1 - y.  feedback=False leaves the
-    chain open (the delayed step response of inner itself).
+    rational simulations; its input u = 1 - y is held across each step.  The
+    recursion keeps inner's outputs in v behind n leading zeros, so the
+    measured output y[k] = v[k] is inner's output n samples earlier, and 0
+    before n: the exact loop cannot respond within the dead time, whatever
+    inner's direct feedthrough.  Divergence is judged on the loop's own
+    states by lti's rule.
 
-    The open chain is lti.block_step's response of inner shifted by
-    n = round(tau/dt) samples, clamped from its first bad state's sample
-    index on, so it equals step_response(inner) shifted, bit for bit.  The
-    closed loop feeds each output back into the next input, so it steps one
-    sample per iteration and builds its divergence mask from its own states.
-
-    The exact loop cannot respond before the dead time, so y is identically
-    zero for t < tau regardless of any direct feedthrough in inner.
+    tau must round to at least one sample.  A tau that is not a multiple of
+    dt is rounded half to even, with a warning: at dt = 0.01 the default
+    delays 0.025 and 0.075 are 2.5 and 7.5 samples, simulated as 2 and 8
+    (0.02 s and 0.08 s).
     """
     nsamp = sample_count(dt, horizon)
+    ratio = tau / dt
+    n = round(ratio)
+    if n < 1:
+        raise ValueError("delayed_step_sim needs a delay of at least one "
+                         "sample")
+    if abs(ratio - n) > 1e-9:
+        log.warning("delay %.6g is not a multiple of dt=%.6g; "
+                    "rounding to %d samples", tau, dt, n)
     ss = to_state_space(inner)
-    line = DelayLine(dt, tau)
-    if not feedback:
-        Y, bad = block_step(ss.A[None], ss.C[None], np.array([ss.D]), dt,
-                            nsamp)
-        y = np.zeros((1, nsamp))
-        y[:, line.n:] = Y[:, :max(nsamp - line.n, 0)]
-    else:
-        M, N = rk4_transition(ss.A, ss.B, dt)
-        y = np.empty((1, nsamp))
-        X = np.zeros((nsamp + 1, ss.order))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(nsamp):
-                cx = ss.C @ X[k]
-                if line.n > 0:
-                    yk = line.peek()
-                else:  # zero-length line: the loop is algebraic through D
-                    yk = (cx + ss.D) / (1.0 + ss.D)
-                y[0, k] = yk
-                u = 1.0 - yk
-                line.push(cx + ss.D * u)
-                X[k + 1] = M @ X[k] + N * u
-        bad = divergence_mask(X)[None]
-    diverged = bool(clamp_divergence(bad, y)[0])
-    y = y[0]
+    M, N = rk4_transition(ss.A, ss.B, dt)
+    v = np.zeros(n + nsamp)
+    X = np.zeros((nsamp + 1, ss.order))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nsamp):
+            u = 1.0 - v[k]
+            v[k + n] = ss.C @ X[k] + ss.D * u
+            X[k + 1] = M @ X[k] + N * u
+    y = v[:nsamp]
+    diverged = bool(clamp_divergence(divergence_mask(X)[None], y[None])[0])
     return StepResponse(dt, horizon, np.arange(nsamp) * dt, y, 1.0 - y,
                         diverged)
 

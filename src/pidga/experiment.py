@@ -57,6 +57,17 @@ class ExperimentConfig:
             if obj not in OBJECTIVES:
                 raise ValueError(f"unknown objective {obj!r}")
         sample_count(self.dt, self.horizon)
+        # a cell's GA settings, on a box of this factor: fail here, not mid-run
+        self.ga_config(bounds_from_baseline(np.ones(3), self.bounds_factor), 0)
+
+    def ga_config(self, bounds, seed):
+        """The GA settings of one cell searched inside bounds."""
+        return GaConfig(bounds=bounds, pop_size=self.pop_size,
+                        max_generations=self.generations,
+                        selection_q=self.selection_q,
+                        crossover_pairs=self.crossover_pairs,
+                        mutation_prob=self.mutation_prob,
+                        elite_count=self.elite_count, rng_seed=seed)
 
 
 @dataclass(frozen=True)
@@ -176,22 +187,13 @@ def evaluate_objective(genes, plant, tau, objective, dt=0.01, horizon=15.0):
 # --------------------------------------------------------------------------
 # sweep
 
-def _ga_config(config, bounds, seed):
-    return GaConfig(bounds=bounds, pop_size=config.pop_size,
-                    max_generations=config.generations,
-                    selection_q=config.selection_q,
-                    crossover_pairs=config.crossover_pairs,
-                    mutation_prob=config.mutation_prob,
-                    elite_count=config.elite_count, rng_seed=seed)
-
-
 def _tuned_row(config, plant, tau, objective, bounds, seed, retried):
     def eval_pop(pop):
         vals, div = evaluate_objective(pop, plant, tau, objective,
                                        config.dt, config.horizon)
         return fitness(vals, div)
 
-    result = run_ga(_ga_config(config, bounds, seed), eval_pop)
+    result = run_ga(config.ga_config(bounds, seed), eval_pop)
     gains = PidGains(*result.best.genes.tolist())
     idx, meas, valid = report_gains(gains, plant, tau, config.dt,
                                     config.horizon)

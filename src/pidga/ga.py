@@ -31,6 +31,8 @@ class GaConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if self.max_generations < 1:
+            raise ValueError("max_generations must be at least 1")
         if not 0 < self.selection_q < 1:
             raise ValueError("selection_q must lie in (0, 1)")
         if not 0 <= self.mutation_prob <= 1:

@@ -158,9 +158,10 @@ def rk4_transition(A, B, dt):
     For a linear system with the input held constant over the step, the four
     RK4 stages collapse algebraically to x+ = M x + N u with
     M = I + P + P^2/2 + P^3/6 + P^4/24 and N = dt*(I + P/2 + P^2/6 + P^3/24)B,
-    P = dt*A.  Iterating the maps one step at a time is identical to
-    running the stages; block_step's powers of M match that only up to
-    rounding.  A may be a stack (..., n, n) sharing the input vector B.
+    P = dt*A.  Iterating the maps one step at a time, as delayed_step_sim
+    does, is identical to running the stages; batch_step's powers of M match
+    that only up to rounding.  A may be a stack (..., n, n) sharing the input
+    vector B.
     """
     n = A.shape[-1]
     P = dt * A
@@ -223,16 +224,17 @@ def clamp_divergence(bad, Y):
     return diverged
 
 
-def block_step(A, C, D, dt, nsamp):
-    """Unclamped unit-step responses Y (p, nsamp) and state masks bad
-    (p, nsamp) of stacked realizations, stepped from rest by the RK4 maps.
+def batch_step(A, C, D, dt, nsamp):
+    """Unit-step responses Y (p, nsamp) and divergence flags (p,) of stacked
+    realizations, stepped from rest by the RK4 maps and clamped by
+    clamp_divergence.
 
     The samples advance in blocks of B = round(sqrt(nsamp - 1)): with
     P_j = M^j and S_j = sum_{i<j} M^i N for j = 1..B, one stacked product
     x_{k+j} = P_j x_k + S_j gives a block's B states per row, which yield
-    its outputs and mask and are then dropped, so no (p, nsamp, n) state
-    array is ever held.  About 2*sqrt(nsamp) numpy calls replace nsamp; the
-    states match the one-step recursion up to rounding.
+    its outputs and divergence mask and are then dropped, so no
+    (p, nsamp, n) state array is ever held.  About 2*sqrt(nsamp) numpy calls
+    replace nsamp; the states match the one-step recursion up to rounding.
     """
     p, n, _ = A.shape
     M, N = rk4_transition(A, np.eye(1, n)[0], dt)
@@ -259,13 +261,6 @@ def block_step(A, C, D, dt, nsamp):
             Y[:, k:k + m] = (C[:, None] @ X)[:, 0] + D[:, None]
             bad[:, k:k + m] = divergence_mask(X.transpose(0, 2, 1))
             x = X[:, :, -1:]
-    return Y, bad
-
-
-def batch_step(A, C, D, dt, nsamp):
-    """Unit-step responses Y (p, nsamp) and divergence flags (p,) of stacked
-    realizations: block_step's outputs, clamped by clamp_divergence."""
-    Y, bad = block_step(A, C, D, dt, nsamp)
     return Y, clamp_divergence(bad, Y)
 
 

@@ -71,6 +71,24 @@ def test_nonpositive_dt_exits_2_with_the_sampling_message(tmp_path, capsys):
     assert "dt must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--pop-size", "1"],
+                                   ["--generations", "0"]])
+def test_invalid_ga_flags_exit_2(flags, capsys):
+    rc = cli.main(["tune", "--delay", "0.1", "--objective", "ise", *flags])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [("selection_q = 1.5", "selection_q"),
+                                           ("bounds_factor = 1", "factor")])
+def test_invalid_ga_config_value_exits_2(tmp_path, capsys, line, message):
+    path = write_config(tmp_path, TINY_CONFIG + line + "\n")
+    rc = cli.main(["tune", "--config", path, "--delay", "0.5",
+                   "--objective", "ise"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_flags_override_config_file(tmp_path):
     path = write_config(tmp_path)
 

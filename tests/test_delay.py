@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from pidga.delay import DelayLine, delayed_step_sim, dfr_delay, true_margin
+from pidga.delay import delayed_step_sim, dfr_delay, true_margin
 from pidga.experiment import DEFAULT_DELAYS, simulate_gains
 from pidga.lti import (TransferFunction, UNITY, closed_loop, open_loop,
-                       pid_tf, step_response)
+                       pid_tf)
 from pidga.metrics import routh_stable, stability_margin
 from pidga.tuners import PidGains, PlantFolpd, ziegler_nichols
 
@@ -67,83 +67,38 @@ def test_dfr_delay_numerator_mirrors_denominator():
         np.testing.assert_array_equal(tf.num, tf.den * signs)
 
 
-# ------------------------------------------------------------------ DelayLine
-
-def test_delay_line_is_exact_sample_shift():
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal(40)
-    line = DelayLine(0.01, 0.05)  # n = 5
-    out = np.array([line.push(v) for v in u])
-    np.testing.assert_array_equal(out[:5], np.zeros(5))
-    np.testing.assert_array_equal(out[5:], u[:-5])
-
-
-def test_delay_line_peek_matches_next_output():
-    line = DelayLine(0.01, 0.03)
-    for v in (1.0, 2.0, 3.0, 4.0):
-        ahead = line.peek()
-        assert line.push(v) == ahead
-
-
-def test_delay_line_zero_length_passes_through():
-    line = DelayLine(0.01, 0.0)
-    assert line.n == 0
-    assert line.push(3.5) == 3.5
-    with pytest.raises(ValueError):
-        line.peek()
-
-
-def test_delay_line_warns_on_non_multiple_tau(caplog):
-    with caplog.at_level(logging.WARNING, logger="pidga.delay"):
-        line = DelayLine(0.01, 0.015)
-    assert line.n == 2
-    assert any("not a multiple" in rec.message for rec in caplog.records)
-
-
-def test_delay_line_validation():
-    with pytest.raises(ValueError):
-        DelayLine(0.0, 0.1)
-    with pytest.raises(ValueError):
-        DelayLine(0.01, -0.1)
-
-
 # ----------------------------------------------------------- delayed_step_sim
 
-def test_open_loop_pure_delay_shifts_the_step():
-    resp = delayed_step_sim(UNITY, 0.5, feedback=False)
-    np.testing.assert_array_equal(resp.y[resp.t < 0.5], 0.0)
-    np.testing.assert_array_equal(resp.y[resp.t >= 0.5], 1.0)
+@pytest.mark.parametrize("tau", [0.01, 0.1, 1.0])
+def test_delay_loop_holds_zero_for_n_samples(tau):
+    # y[k] is inner's output n samples earlier: nothing comes out before n,
+    # and inner's first output, from rest with e = 1, is its feedthrough
+    plant = PlantFolpd(1.0, 1.0, tau)
+    inner = _forward_path(ziegler_nichols(plant), plant)
+    n = round(tau / 0.01)
+    resp = delayed_step_sim(inner, tau)
+    np.testing.assert_array_equal(resp.y[:n], np.zeros(n))
+    assert resp.y[n] == inner.num[0] / inner.den[0]
 
 
-def test_open_loop_delayed_lag_obeys_shift_theorem():
+def test_pure_delay_loop_is_a_square_wave():
+    # e^{-s tau}/(1 + e^{-s tau}): y[k] = 1 - y[k - n], a square wave of
+    # period 2 tau between 0 and 1
+    resp = delayed_step_sim(UNITY, 0.5)
+    half_periods = np.arange(len(resp.y)) // 50
+    np.testing.assert_array_equal(resp.y, half_periods % 2)
+    assert not resp.diverged
+
+
+def test_delayed_lag_loop_follows_the_method_of_steps():
+    # e = 1 through the dead time, so on [tau, 2 tau] the output is the lag's
+    # open step response shifted by tau
     lag = TransferFunction([1.0], [1.0, 1.0])
-    resp = delayed_step_sim(lag, 0.25, feedback=False)
-    after = resp.t >= 0.25
-    expected = 1.0 - np.exp(-(resp.t[after] - 0.25))
-    np.testing.assert_allclose(resp.y[after], expected, atol=1e-4)
-    np.testing.assert_array_equal(resp.y[~after], 0.0)
-
-
-def test_open_loop_delay_equals_shifted_undelayed_response():
-    tf = TransferFunction([2.0, 1.0], [1.0, 2.0, 2.0])
-    n = 30
-    plain = step_response(tf)
-    shifted = delayed_step_sim(tf, n * 0.01, feedback=False)
-    np.testing.assert_array_equal(shifted.y[n:], plain.y[:-n])
-    np.testing.assert_array_equal(shifted.y[:n], np.zeros(n))
-
-
-def test_open_loop_delay_line_shares_the_divergence_rule():
-    # pole at s = +2: the state crosses 1e9 at the same sample j on both
-    # paths, and both hold their output from j on
-    tf = TransferFunction([1.0], [1.0, 0.0, -4.0])
-    n = 30
-    plain = step_response(tf)
-    shifted = delayed_step_sim(tf, n * 0.01, feedback=False)
-    assert plain.diverged and shifted.diverged
-    j = int(np.argmax(plain.y == plain.y[-1])) + 1
-    np.testing.assert_array_equal(shifted.y[n:j], plain.y[:j - n])
-    np.testing.assert_array_equal(shifted.y[j:], plain.y[j - 1 - n])
+    resp = delayed_step_sim(lag, 0.25)
+    first = (resp.t >= 0.25) & (resp.t <= 0.5 + 1e-12)
+    expected = 1.0 - np.exp(-(resp.t[first] - 0.25))
+    np.testing.assert_allclose(resp.y[first], expected, atol=1e-4)
+    np.testing.assert_array_equal(resp.y[resp.t < 0.25], 0.0)
 
 
 def test_delayed_step_sim_validation():
@@ -153,12 +108,18 @@ def test_delayed_step_sim_validation():
         delayed_step_sim(UNITY, 0.1, dt=0.01, horizon=0.001)
 
 
-def test_zero_delay_feedback_loop_matches_rational_loop():
-    # with tau = 0 the loop is algebraic; it must track T = 1/(s+2)
-    lag = TransferFunction([1.0], [1.0, 1.0])
-    resp = delayed_step_sim(lag, 0.0)
-    expected = 0.5 * (1.0 - np.exp(-2.0 * resp.t))
-    assert np.abs(resp.y - expected).max() <= 0.01
+@pytest.mark.parametrize("tau", [-0.1, 0.0, 0.004])
+def test_delayed_step_sim_rejects_sub_sample_delay(tau):
+    with pytest.raises(ValueError, match="at least one sample"):
+        delayed_step_sim(UNITY, tau)
+
+
+def test_delayed_step_sim_warns_on_non_multiple_tau(caplog):
+    # 1.5 samples rounds half to even: 2 samples
+    with caplog.at_level(logging.WARNING, logger="pidga.delay"):
+        resp = delayed_step_sim(UNITY, 0.015)
+    assert any("not a multiple" in rec.message for rec in caplog.records)
+    np.testing.assert_array_equal(resp.y[:4], [0.0, 0.0, 1.0, 1.0])
 
 
 def test_closed_loop_dual_simulation_envelope():
@@ -185,9 +146,13 @@ def test_divergent_delay_loop_is_flagged():
     inner = _forward_path(gains, plant)
     hot = TransferFunction(3.0 * inner.num, inner.den)  # above threshold
     resp = delayed_step_sim(hot, 1.0, horizon=60.0)
-    env_mid = np.abs(resp.e[2000:4000]).max()
-    env_end = np.abs(resp.e[4000:]).max()
-    assert resp.diverged or env_end >= env_mid
+    assert resp.diverged
+    # the output last changes at sample j - 1, when a state first leaves
+    # |x_i| <= 1e9; samples j on repeat y[j - 1]
+    j = int(np.flatnonzero(np.diff(resp.y))[-1]) + 2
+    assert j == 3158
+    assert abs(resp.y[j - 1]) > 1e9
+    np.testing.assert_array_equal(resp.y[j:], resp.y[j - 1])
 
 
 # ---------------------------------------------------------------- true_margin

@@ -185,6 +185,13 @@ def test_ga_config_validation():
     assert config.crossover_pairs == 5
 
 
+@pytest.mark.parametrize("generations", [0, -3])
+def test_ga_config_needs_a_generation(generations):
+    # run_ga with no generation has no best chromosome to return
+    with pytest.raises(ValueError, match="max_generations"):
+        GaConfig(bounds=BOWL_BOUNDS, max_generations=generations)
+
+
 def test_ga_result_types():
     result = run_ga(GaConfig(bounds=BOWL_BOUNDS, pop_size=10,
                              max_generations=5, rng_seed=0),
