@@ -37,12 +37,10 @@ def dfr_delay(tau):
     """Second-order DFR all-pass approximation of a tau-second delay.
 
     The numerator is the denominator with odd-power signs flipped, so the
-    magnitude is exactly 1 at every frequency; tau = 0 degenerates to 1/1.
+    magnitude is exactly 1 at every frequency; tau = 0 trims to 1/1.
     """
     if tau < 0:
         raise ValueError("negative delay")
-    if tau == 0:
-        return DelayApprox(0.0, TransferFunction([1.0], [1.0]))
     c2 = DFR_C2 * tau * tau
     c1 = DFR_C1 * tau
     return DelayApprox(float(tau),

@@ -179,8 +179,8 @@ def evaluate_objective(genes, plant, tau, objective, dt=0.01, horizon=15.0):
     nsamp = sample_count(dt, horizon)
     A, C, D = _batch_closed_loop(genes, plant, tau)
     Y, diverged = batch_step(A, C, D, dt, nsamp)
-    t = np.arange(nsamp) * dt
-    vals = index_sums(1.0 - Y, t, dt, horizon)[OBJECTIVES.index(objective)]
+    e = np.subtract(1.0, Y, out=Y)  # in place: Y is not needed again
+    vals, = index_sums(e, np.arange(nsamp) * dt, dt, horizon, (objective,))
     return vals, diverged
 
 

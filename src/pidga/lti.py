@@ -159,9 +159,9 @@ def rk4_transition(A, B, dt):
     RK4 stages collapse algebraically to x+ = M x + N u with
     M = I + P + P^2/2 + P^3/6 + P^4/24 and N = dt*(I + P/2 + P^2/6 + P^3/24)B,
     P = dt*A.  Iterating the maps one step at a time, as delayed_step_sim
-    does, is identical to running the stages; batch_step's powers of M match
-    that only up to rounding.  A may be a stack (..., n, n) sharing the input
-    vector B.
+    does, is identical to running the stages; batch_step, which composes
+    the maps by doubling, matches that only up to rounding.  A may be a stack
+    (..., n, n) sharing the input vector B.
     """
     n = A.shape[-1]
     P = dt * A
@@ -229,38 +229,51 @@ def batch_step(A, C, D, dt, nsamp):
     realizations, stepped from rest by the RK4 maps and clamped by
     clamp_divergence.
 
-    The samples advance in blocks of B = round(sqrt(nsamp - 1)): with
-    P_j = M^j and S_j = sum_{i<j} M^i N for j = 1..B, one stacked product
-    x_{k+j} = P_j x_k + S_j gives a block's B states per row, which yield
-    its outputs and divergence mask and are then dropped, so no
-    (p, nsamp, n) state array is ever held.  About 2*sqrt(nsamp) numpy calls
-    replace nsamp; the states match the one-step recursion up to rounding.
+    The samples advance in blocks of B = round(sqrt(nsamp - 1)).  M^j and
+    S_j = sum_{i<j} M^i N, j = 1..B, are built by doubling
+    (M^{a+b} = M^a M^b, S_{a+b} = M^a S_b + S_a).  From x_k a block's
+    outputs are Q_j x_k + R_j, with Q_j = C M^j and R_j = C S_j + D, and
+    only its end state M^B x_k + S_B is formed: no state history is held.
+    Its states and their divergence mask are built only for unflagged rows
+    whose bound G*|x_k|_inf + H (G = max_j |M^j|_inf, H = max_j |S_j|_inf)
+    comes within a rounding guard of the limit.  The outputs match the
+    one-step recursion up to rounding.
     """
     p, n, _ = A.shape
     M, N = rk4_transition(A, np.eye(1, n)[0], dt)
     nb = max(1, round(math.sqrt(nsamp - 1)))
     # P[:, :, j-1] = M^j (rows i of each power along axis 1, so that a block
-    # comes out as (p, n, B) and its mask reduces over a leading axis)
-    P = np.empty((p, n, nb, n))
-    S = np.empty((p, n, nb))
-    Y = np.empty((p, nsamp))
-    bad = np.zeros((p, nsamp), dtype=bool)
-    Y[:, 0] = D
-    x = np.zeros((p, n, 1))
+    # of powers is one (n, n) x (n, g*n) product per row), S[:, :, j-1] = S_j
+    P, S = np.empty((p, n, nb, n)), np.empty((p, n, nb))
     with np.errstate(over="ignore", invalid="ignore"):
-        Mj, Sj = M, N[..., None]
-        for j in range(nb):
-            P[:, :, j] = Mj
-            S[:, :, j] = Sj[..., 0]
-            Mj = M @ Mj
-            Sj = M @ Sj + N[..., None]
+        P[:, :, 0], S[:, :, 0] = M, N
+        for h in (1 << i for i in range((nb - 1).bit_length())):
+            g = min(h, nb - h)
+            Mh = P[:, :, h - 1]
+            P[:, :, h:h + g] = (Mh @ P[:, :, :g].reshape(p, n, g * n)
+                                ).reshape(p, n, g, n)
+            S[:, :, h:h + g] = Mh @ S[:, :, :g] + S[:, :, h - 1:h]
+        Q = (C[:, None] @ P.reshape(p, n, nb * n)).reshape(p, nb, n)
+        R = (C[:, None] @ S)[:, 0] + D[:, None]
+        G = (np.abs(P) @ np.ones(n)).max(axis=(1, 2), initial=0.0)
+        H = np.abs(S).max(axis=(1, 2), initial=0.0)
+        Y = np.empty((p, nsamp))
+        Y[:, 0] = D
+        bad = np.zeros((p, nsamp), dtype=bool)
+        flagged = np.zeros(p, dtype=bool)
+        x = np.zeros((p, n, 1))
         for k in range(1, nsamp, nb):
             m = min(nb, nsamp - k)
-            X = (P[:, :, :m].reshape(p, n * m, n) @ x).reshape(p, n, m) \
-                + S[:, :, :m]
-            Y[:, k:k + m] = (C[:, None] @ X)[:, 0] + D[:, None]
-            bad[:, k:k + m] = divergence_mask(X.transpose(0, 2, 1))
-            x = X[:, :, -1:]
+            Y[:, k:k + m] = (Q[:, :m] @ x)[..., 0] + R[:, :m]
+            bound = G * np.abs(x).max(axis=(1, 2), initial=0.0) + H
+            rows = np.flatnonzero(~(bound <= DIVERGENCE_LIMIT * (1 - 1e-9))
+                                  & ~flagged)
+            if rows.size:
+                X = (P[rows, :, :m].reshape(len(rows), n * m, n) @ x[rows]
+                     ).reshape(len(rows), n, m) + S[rows, :, :m]
+                bad[rows, k:k + m] = divergence_mask(X.transpose(0, 2, 1))
+                flagged[rows] = bad[rows, k:k + m].any(axis=1)
+            x = P[:, :, m - 1] @ x + S[:, :, m - 1:m]
     return Y, clamp_divergence(bad, Y)
 
 

@@ -33,19 +33,28 @@ class PerformanceIndices:
         return getattr(self, name)
 
 
-def index_sums(e, t, dt, horizon):
-    """(mse, itae, iae, ise, itse) for error samples along the last axis.
+# each index's error power and its weight row (0: 1, 1: t)
+_INDEX_TERMS = {"mse": (np.square, 0), "itae": (np.abs, 1), "iae": (np.abs, 0),
+                "ise": (np.square, 0), "itse": (np.square, 1)}
 
-    Vectorized: e may be a single trace (n,) or a stack (..., n) sharing the
-    time grid t, so a whole GA population evaluates in one call.
+
+def index_sums(e, t, dt, horizon, names=OBJECTIVES):
+    """The named indices, by default all five, for error samples along the
+    last axis: e may be a single trace (n,) or a stack (..., n) sharing the
+    time grid t, so a whole GA population evaluates in one call.  Only the
+    error powers the named indices need are summed, each as in the full set.
     """
     # one (2, n) x (n,) product per row and error power; matmul runs it
     # row by row, so a stacked row sums exactly as it would alone
     w = np.stack([np.ones_like(t), t]) * dt
-    iae, itae = np.moveaxis((w @ np.abs(e)[..., None])[..., 0], -1, 0)
-    ise, itse = np.moveaxis((w @ (e * e)[..., None])[..., 0], -1, 0)
-    mse = ise / horizon
-    return mse, itae, iae, ise, itse
+    pairs, out = {}, []
+    for name in names:
+        power, weight = _INDEX_TERMS[name]
+        if power not in pairs:
+            pairs[power] = np.moveaxis((w @ power(e)[..., None])[..., 0], -1, 0)
+        val = pairs[power][weight]
+        out.append(val / horizon if name == "mse" else val)
+    return tuple(out)
 
 
 def indices(resp):

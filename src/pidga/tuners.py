@@ -25,8 +25,8 @@ class PlantFolpd:
     delay: float = 0.0
 
     def __post_init__(self):
-        if self.gain == 0:
-            raise ValueError("plant gain must be nonzero")
+        if self.gain <= 0:
+            raise ValueError("plant gain must be positive")
         if self.time_constant <= 0:
             raise ValueError("time constant must be positive")
         if self.delay < 0:

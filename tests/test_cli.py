@@ -89,6 +89,17 @@ def test_invalid_ga_config_value_exits_2(tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["baseline"],
+                                     ["tune", "--delay", "0.1",
+                                      "--objective", "ise"]])
+@pytest.mark.parametrize("gain", ["-1", "0"])
+def test_nonpositive_plant_gain_exits_2(tmp_path, capsys, command, gain):
+    path = write_config(tmp_path, f"gain = {gain}\n")
+    rc = cli.main([*command, "--config", path])
+    assert rc == 2
+    assert "plant gain must be positive" in capsys.readouterr().err
+
+
 def test_flags_override_config_file(tmp_path):
     path = write_config(tmp_path)
 

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from pidga.experiment import (DEFAULT_DELAYS, ExperimentConfig, SweepReport,
-                              SweepRow, derive_seed, emit_csv,
-                              evaluate_objective, fmt6, loop_margin,
-                              run_sweep, simulate_gains)
-from pidga.lti import closed_loop, pid_tf, step_response
-from pidga.metrics import OBJECTIVES, PerformanceIndices, StandardMeasures, indices
+                              SweepRow, _batch_closed_loop, derive_seed,
+                              emit_csv, evaluate_objective, fmt6,
+                              loop_margin, run_sweep, simulate_gains)
+from pidga.lti import batch_step, closed_loop, pid_tf, step_response
+from pidga.metrics import (OBJECTIVES, PerformanceIndices, StandardMeasures,
+                           index_sums, indices)
 from pidga.delay import dfr_delay
 from pidga.plots import INDEX_FIGS, MEASURE_FIGS, emit_plots
-from pidga.tuners import PidGains, PlantFolpd, ziegler_nichols
+from pidga.tuners import (PidGains, PlantFolpd, bounds_from_baseline,
+                          ziegler_nichols)
 
 PLANT = PlantFolpd(1.0, 1.0, 0.0)
 
@@ -71,6 +73,22 @@ def test_batch_divergence_flags_match_single_path():
         resp = simulate_gains(PidGains(*row), plant, 1.0)
         assert resp.diverged == bool(flag)
     assert not div[0]
+
+
+def test_evaluate_objective_is_its_column_of_index_sums():
+    # each objective sums only its own error power, bit for bit as in the
+    # full set, on a population with diverged (clamped) rows
+    plant = PlantFolpd(1.0, 1.0, 0.1)
+    box = bounds_from_baseline(ziegler_nichols(plant), 2.0)
+    genes = box.low + np.random.default_rng(4).random((40, 3)) * box.span
+    A, C, D = _batch_closed_loop(genes, plant, 0.1)
+    Y, diverged = batch_step(A, C, D, 0.01, 1501)
+    assert 0 < diverged.sum() < len(genes)
+    full = index_sums(1.0 - Y, np.arange(1501) * 0.01, 0.01, 15.0)
+    for i, objective in enumerate(OBJECTIVES):
+        vals, div = evaluate_objective(genes, plant, 0.1, objective)
+        np.testing.assert_array_equal(div, diverged)
+        np.testing.assert_array_equal(vals, full[i])
 
 
 def test_loop_margin_nan_for_unstable_gains():

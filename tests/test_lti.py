@@ -319,3 +319,27 @@ def test_batch_step_never_holds_the_state_history():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+@pytest.mark.parametrize("den, dt, flagged", [
+    (np.poly([2000.0, -1.0, -2.0]), 0.01, True),  # past 1e9 in block one
+    (np.poly([1e5, -1.0, -2.0]), 0.01, True),     # M^j overflows to inf
+    ([1.0, 0.0, 0.0, 0.0], 1.0, False),           # 1/s^3 ramps to 5.6e8
+])
+def test_batch_step_bound_keeps_adversarial_rows_exact(den, dt, flagged):
+    # between two benign rows: the row's flag, its first clamped sample and
+    # its outputs before the clamp follow the one-step recursion
+    benign = np.poly([-0.5, -0.6, -0.7])
+    A, C, D = realize(np.eye(1, 4, 3).repeat(3, axis=0),
+                      np.array([benign, den, benign]))
+    Y, diverged = batch_step(A, C, D, dt, 1501)
+    ref, X = _reference_step(A, C, D, dt, 1501)
+    bad = ~(np.abs(X) <= DIVERGENCE_LIMIT).all(axis=2)
+    np.testing.assert_array_equal(diverged, bad.any(axis=1))
+    assert diverged.tolist() == [False, flagged, False]
+    j = int(np.argmax(bad[1])) if flagged else 1501
+    np.testing.assert_array_equal(Y[1, j:], Y[1, j - 1])
+    assert Y[1, j - 1] != Y[1, j - 2]
+    np.testing.assert_allclose(Y[:, :j], ref[:, :j], rtol=1e-12)
+    if not flagged:
+        assert 1e8 < np.abs(X[1]).max() < DIVERGENCE_LIMIT
