@@ -1,7 +1,7 @@
 """Command-line harness: sweep, tune, baseline, validate.
 
 Exit codes: 0 success, 2 invalid configuration, 3 sweep finished but left
-invalid rows (a diverged best response).
+invalid rows (a best response that diverged or ends at y <= 0).
 """
 
 import argparse
@@ -71,8 +71,9 @@ def read_config_file(path):
     return values
 
 
-def build_config(args):
-    """Defaults <- config file <- command-line flags; returns (config, out)."""
+def build_config(args, **overrides):
+    """Defaults <- config file <- command-line flags, then the command's
+    ExperimentConfig field overrides; returns (config, out)."""
     vals = read_config_file(args.config) if args.config else {}
     for key in ("seed", "pop_size", "generations"):
         if getattr(args, key, None) is not None:
@@ -85,6 +86,7 @@ def build_config(args):
         config = ExperimentConfig(
             plant=plant, **{f.name: vals[key] for key, f in _FIELDS.items()
                             if key in vals})
+        config = replace(config, **overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config, out
@@ -121,11 +123,8 @@ def cmd_sweep(args):
 
 
 def cmd_tune(args):
-    config, out = build_config(args)
-    if args.objective not in OBJECTIVES:
-        raise ConfigError(f"unknown objective {args.objective!r}")
-    config = replace(config, delays=(args.delay,),
-                     objectives=(args.objective,))
+    config, _ = build_config(args, delays=(args.delay,),
+                             objectives=(args.objective,))
     report = run_sweep(config)
     print(f"delay {args.delay:g}, objective {args.objective}:")
     for row in report.rows:

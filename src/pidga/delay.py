@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lti import (StepResponse, TransferFunction, clamp_divergence,
-                  divergence_mask, rk4_transition, sample_count,
-                  to_state_space)
+                  divergence_mask, pad_left, realize, rk4_transition,
+                  sample_count)
 from .metrics import crossing_gain
 
 log = logging.getLogger(__name__)
@@ -52,8 +52,8 @@ def delayed_step_sim(inner, tau, dt=0.01, horizon=15.0):
     with the delay realized exactly as a shift by n = round(tau/dt) samples.
 
     inner is the forward-path transfer function (controller*plant product),
-    realized in state space and stepped with the same RK4 maps as the
-    rational simulations; its input u = 1 - y is held across each step.  The
+    realized by lti.realize like every rational loop and stepped with the
+    same RK4 maps; its input u = 1 - y is held across each step.  The
     recursion keeps inner's outputs in v behind n leading zeros, so the
     measured output y[k] = v[k] is inner's output n samples earlier, and 0
     before n: the exact loop cannot respond within the dead time, whatever
@@ -74,14 +74,16 @@ def delayed_step_sim(inner, tau, dt=0.01, horizon=15.0):
     if abs(ratio - n) > 1e-9:
         log.warning("delay %.6g is not a multiple of dt=%.6g; "
                     "rounding to %d samples", tau, dt, n)
-    ss = to_state_space(inner)
-    M, N = rk4_transition(ss.A, ss.B, dt)
+    order = len(inner.den) - 1
+    A, C, D = realize(pad_left(inner.num, order + 1)[None], inner.den[None])
+    M, N = rk4_transition(A[0], np.eye(1, order)[0], dt)
+    C, D = C[0], float(D[0])
     v = np.zeros(n + nsamp)
-    X = np.zeros((nsamp + 1, ss.order))
+    X = np.zeros((nsamp + 1, order))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nsamp):
             u = 1.0 - v[k]
-            v[k + n] = ss.C @ X[k] + ss.D * u
+            v[k + n] = C @ X[k] + D * u
             X[k + 1] = M @ X[k] + N * u
     y = v[:nsamp]
     diverged = bool(clamp_divergence(divergence_mask(X)[None], y[None])[0])

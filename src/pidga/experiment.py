@@ -2,10 +2,11 @@
 
 A sweep crosses a delay grid with the five error-integral objectives.  Each
 (delay, objective) cell runs one seeded GA inside Ziegler-Nichols-derived
-gene bounds; every reported row is then re-simulated through the single-path
-simulator so the stored indices and measures are exactly what its gains
-reproduce.  Seeds are derived per cell from the master seed, so any row can
-be recomputed in isolation.
+gene bounds.  The GA population and every reported row take their loop from
+one builder, loop_polys, and a reported row is the population path's
+single-row case: its index is the value the GA ranked it by, bit for bit.
+Seeds are derived per cell from the master seed, so any row can be
+recomputed in isolation.
 """
 
 import csv
@@ -17,8 +18,8 @@ import numpy as np
 
 from .delay import dfr_delay
 from .ga import GaConfig, run_ga
-from .lti import (batch_step, closed_loop, pad_left, pid_tf, realize,
-                  sample_count, step_response)
+from .lti import (UNITY, TransferFunction, batch_step, closed_loop, pad_left,
+                  realize, sample_count, step_response)
 from .metrics import (OBJECTIVES, PerformanceIndices, StandardMeasures,
                       fitness, index_sums, indices, stability_margin,
                       standard_measures)
@@ -49,8 +50,8 @@ class ExperimentConfig:
     def __post_init__(self):
         self.delays = tuple(float(d) for d in self.delays)
         self.objectives = tuple(self.objectives)
-        if not self.delays or any(d <= 0 for d in self.delays):
-            raise ValueError("delays must be positive")
+        if not self.delays or not all(0 < d < math.inf for d in self.delays):
+            raise ValueError("delays must be positive and finite")
         if list(self.delays) != sorted(self.delays):
             raise ValueError("delays must be sorted ascending")
         for obj in self.objectives:
@@ -123,62 +124,65 @@ def derive_seed(master, *key):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def loop_polys(genes, plant, tau):
+    """Loop numerators num_L (p, 5) and the shared denominator den_L (5,) of
+    L = pid(genes)*lag*DFR for gene rows (kd, kp, ki).
+
+    num_L is linear in the genes.  Each row is its own (1, 3) x (3, 5)
+    product: one gemm over the whole stack would pick its kernel, and so its
+    rounding, by the row count, and a row must not depend on its company.
+    """
+    genes = np.atleast_2d(np.asarray(genes, dtype=float))
+    lag = plant.lag_tf()
+    d = dfr_delay(tau).tf
+    base = np.convolve(d.num, lag.num)  # gain * delay numerator
+    den_l = np.convolve(np.convolve([1.0, 0.0], lag.den), d.den)
+    rows = np.array([pad_left(np.convolve(base, s_pow), len(den_l))
+                     for s_pow in ([1.0, 0.0, 0.0], [1.0, 0.0], [1.0])])
+    return (genes[:, None] @ rows)[:, 0], den_l
+
+
 def simulate_gains(gains, plant, tau, dt=0.01, horizon=15.0):
-    """Single-path closed-loop step response for one gain set."""
-    loop = closed_loop(pid_tf(gains), plant.lag_tf(), dfr_delay(tau).tf)
+    """Closed-loop step response of one gain set: the single-row case of
+    evaluate_objective's simulation."""
+    num_l, den_l = loop_polys(gains, plant, tau)
+    loop = closed_loop(TransferFunction(num_l[0], den_l), UNITY)
     return step_response(loop, dt, horizon)
 
 
 def loop_margin(gains, plant, tau):
     """Loop-gain stability margin for one gain set (nan if indeterminate)."""
+    num_l, den_l = loop_polys(gains, plant, tau)
     try:
-        return stability_margin(pid_tf(gains), plant.lag_tf(),
-                                dfr_delay(tau).tf)
+        return stability_margin(TransferFunction(num_l[0], den_l), UNITY)
     except ValueError:
         return math.nan
 
 
 def report_gains(gains, plant, tau, dt=0.01, horizon=15.0):
-    """(indices, measures with margin, valid) of one gain set's single-path
-    response; a diverged response gives nan records and valid=False."""
+    """(indices, measures with margin, valid) of one gain set's response.
+    A response without measures (diverged, or ending at y <= 0) gives nan
+    records and valid=False."""
     resp = simulate_gains(gains, plant, tau, dt, horizon)
-    if resp.diverged:
+    try:
+        meas = standard_measures(resp)
+    except ValueError:
         return (PerformanceIndices(*(math.nan,) * 5),
                 StandardMeasures(*(math.nan,) * 5), False)
-    meas = standard_measures(resp).with_margin(loop_margin(gains, plant, tau))
-    return indices(resp), meas, True
-
-
-# --------------------------------------------------------------------------
-# batch closed loop: the whole population becomes one stacked companion-form
-# system for lti.batch_step, the kernel whose single-row case also produces
-# every reported row, which is what makes 300-generation runs affordable.
-
-def _batch_closed_loop(genes, plant, tau):
-    """Stacked (A, C, D) realizations of T = L/(1+L) for gene rows.
-
-    num(L) is linear in (kd, kp, ki), so the population's numerators are one
-    matrix product; the shared den(L) then gives den(T) = den(L) + num(L).
-    The leading den(T) coefficient is bounded below by the plant/delay part,
-    so every row admits the same-order companion form with no cancellation.
-    """
-    lag = plant.lag_tf()
-    d = dfr_delay(tau).tf
-    base = np.convolve(d.num, lag.num)  # gain * delay numerator
-    den_l = np.convolve(np.convolve([1.0, 0.0], lag.den), d.den)
-    width = len(den_l)
-    rows = [pad_left(np.convolve(base, s_pow), width)
-            for s_pow in ([1.0, 0.0, 0.0], [1.0, 0.0], [1.0])]
-    num = genes @ np.array(rows)  # (p, width), gene order (kd, kp, ki)
-    return realize(num, pad_left(den_l, width) + num)
+    return (indices(resp), meas.with_margin(loop_margin(gains, plant, tau)),
+            True)
 
 
 def evaluate_objective(genes, plant, tau, objective, dt=0.01, horizon=15.0):
-    """Objective values and divergence flags for a stack of gene rows."""
-    genes = np.atleast_2d(np.asarray(genes, dtype=float))
+    """Objective values and divergence flags for a stack of gene rows: one
+    batch_step call on the realizations of T = num_L/(den_L + num_L).
+
+    The leading den_T coefficient is bounded below by den_L's, the
+    plant/delay part, so every row has the same-order companion form with no
+    cancellation."""
+    num_l, den_l = loop_polys(genes, plant, tau)
     nsamp = sample_count(dt, horizon)
-    A, C, D = _batch_closed_loop(genes, plant, tau)
-    Y, diverged = batch_step(A, C, D, dt, nsamp)
+    Y, diverged = batch_step(*realize(num_l, den_l + num_l), dt, nsamp)
     e = np.subtract(1.0, Y, out=Y)  # in place: Y is not needed again
     vals, = index_sums(e, np.arange(nsamp) * dt, dt, horizon, (objective,))
     return vals, diverged
@@ -208,8 +212,8 @@ def run_sweep(config, progress=None):
     searched inside bounds_from_baseline of that delay's baseline gains.  A
     GA row that fails to beat the baseline on its own objective is rerun
     once with the cell's alternate seed and the better of the two runs is
-    kept (flagged retried).  A diverged best response marks its row invalid;
-    the sweep continues.
+    kept (flagged retried).  A best response that diverged or ends at y <= 0
+    marks its row invalid; the sweep continues.
     """
     say = progress or (lambda msg: None)
     rows = []

@@ -59,10 +59,6 @@ class TransferFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @property
-    def relative_degree(self):
-        return (len(self.den) - 1) - (len(self.num) - 1)
-
     def __call__(self, s):
         """Evaluate at a (complex) point or array of points."""
         return np.polyval(self.num, s) / np.polyval(self.den, s)
@@ -108,20 +104,6 @@ def closed_loop(controller, plant, delay=None):
     return TransferFunction(loop.num, den_t)
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    """x' = Ax + Bu, y = Cx + Du with B, C kept as 1-D vectors."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: float
-
-    @property
-    def order(self):
-        return self.A.shape[0]
-
-
 def realize(num, den):
     """Controllable-canonical A (p, n, n), C (p, n), D (p,) of the transfer
     functions num[i]/den[i], given as (p, n+1) left-padded coefficient rows.
@@ -137,19 +119,6 @@ def realize(num, den):
         A[:, 0, :] = -a[:, 1:]
         A[:, np.arange(1, n), np.arange(n - 1)] = 1.0
     return A, C, D
-
-
-def to_state_space(tf):
-    """Controllable-canonical realization of a proper or biproper TF.
-
-    A biproper input yields the nonzero feedthrough D = lead(num)/lead(den);
-    a constant transfer function yields an order-0 realization (pure gain).
-    """
-    n = len(tf.den) - 1
-    if len(tf.num) - 1 > n:
-        raise ValueError("improper transfer function")
-    A, C, D = realize(pad_left(tf.num, n + 1)[None], tf.den[None])
-    return StateSpace(A[0], np.eye(1, n)[0], C[0], float(D[0]))
 
 
 def rk4_transition(A, B, dt):
@@ -285,9 +254,11 @@ def step_response(tf, dt=0.01, horizon=15.0):
     is flagged and padded so that optimizers can penalize unstable gains.
     """
     nsamp = sample_count(dt, horizon)
-    ss = to_state_space(tf)
-    Y, diverged = batch_step(ss.A[None], ss.C[None], np.array([ss.D]), dt,
-                             nsamp)
+    n = len(tf.den) - 1
+    if len(tf.num) > n + 1:
+        raise ValueError("improper transfer function")
+    A, C, D = realize(pad_left(tf.num, n + 1)[None], tf.den[None])
+    Y, diverged = batch_step(A, C, D, dt, nsamp)
     y = Y[0]
     return StepResponse(dt, horizon, np.arange(nsamp) * dt, y, 1.0 - y,
                         bool(diverged[0]))

@@ -64,6 +64,13 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_nan_delay_in_config_file_exits_2(tmp_path, capsys):
+    rc = cli.main(["baseline", "--config",
+                   write_config(tmp_path, "delays = nan\n")])
+    assert rc == 2
+    assert "delays must be positive and finite" in capsys.readouterr().err
+
+
 def test_nonpositive_dt_exits_2_with_the_sampling_message(tmp_path, capsys):
     path = write_config(tmp_path, "dt = 0\n")
     rc = cli.main(["baseline", "--config", path])
@@ -77,6 +84,13 @@ def test_invalid_ga_flags_exit_2(flags, capsys):
     rc = cli.main(["tune", "--delay", "0.1", "--objective", "ise", *flags])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delay", ["0", "-1", "nan", "inf"])
+def test_bad_tune_delay_exits_2(delay, capsys):
+    rc = cli.main(["tune", "--delay", delay, "--objective", "ise"])
+    assert rc == 2
+    assert "delays must be positive and finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, message", [("selection_q = 1.5", "selection_q"),

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from pidga.experiment import (DEFAULT_DELAYS, ExperimentConfig, SweepReport,
-                              SweepRow, _batch_closed_loop, derive_seed,
-                              emit_csv, evaluate_objective, fmt6,
-                              loop_margin, run_sweep, simulate_gains)
-from pidga.lti import batch_step, closed_loop, pid_tf, step_response
+                              SweepRow, derive_seed, emit_csv,
+                              evaluate_objective, fmt6, loop_margin,
+                              loop_polys, report_gains, run_sweep,
+                              simulate_gains)
+from pidga.lti import (batch_step, closed_loop, open_loop, pid_tf, realize,
+                       step_response)
 from pidga.metrics import (OBJECTIVES, PerformanceIndices, StandardMeasures,
                            index_sums, indices)
-from pidga.delay import dfr_delay
+from pidga.delay import dfr_delay, true_margin
 from pidga.plots import INDEX_FIGS, MEASURE_FIGS, emit_plots
 from pidga.tuners import (PidGains, PlantFolpd, bounds_from_baseline,
                           ziegler_nichols)
@@ -36,6 +38,14 @@ def test_derive_seed_is_stable_and_keyed():
 
 
 # ----------------------------------------------------------- simulation paths
+
+def _box_rows(tau, count, seed):
+    """The plant at tau and seeded random gene rows in its Z-N box."""
+    plant = PlantFolpd(1.0, 1.0, tau)
+    box = bounds_from_baseline(ziegler_nichols(plant), 2.0)
+    rng = np.random.default_rng(seed)
+    return plant, box.low + rng.random((count, 3)) * box.span
+
 
 def test_simulate_gains_matches_manual_composition():
     gains = PidGains(0.6, 12.0, 60.0)
@@ -59,7 +69,7 @@ def test_batch_evaluation_matches_single_path(tau, gains):
         vals, div = evaluate_objective(np.array([gains]), plant, tau,
                                        objective)
         assert not div[0]
-        assert vals[0] == pytest.approx(single.by_name(objective), rel=1e-12)
+        assert vals[0] == single.by_name(objective)
 
 
 def test_batch_divergence_flags_match_single_path():
@@ -78,17 +88,93 @@ def test_batch_divergence_flags_match_single_path():
 def test_evaluate_objective_is_its_column_of_index_sums():
     # each objective sums only its own error power, bit for bit as in the
     # full set, on a population with diverged (clamped) rows
-    plant = PlantFolpd(1.0, 1.0, 0.1)
-    box = bounds_from_baseline(ziegler_nichols(plant), 2.0)
-    genes = box.low + np.random.default_rng(4).random((40, 3)) * box.span
-    A, C, D = _batch_closed_loop(genes, plant, 0.1)
-    Y, diverged = batch_step(A, C, D, 0.01, 1501)
+    plant, genes = _box_rows(0.1, 40, 4)
+    num_l, den_l = loop_polys(genes, plant, 0.1)
+    Y, diverged = batch_step(*realize(num_l, den_l + num_l), 0.01, 1501)
     assert 0 < diverged.sum() < len(genes)
     full = index_sums(1.0 - Y, np.arange(1501) * 0.01, 0.01, 15.0)
     for i, objective in enumerate(OBJECTIVES):
         vals, div = evaluate_objective(genes, plant, 0.1, objective)
         np.testing.assert_array_equal(div, diverged)
         np.testing.assert_array_equal(vals, full[i])
+
+
+def test_reported_row_is_the_population_row():
+    # a reported row's indices are the values the GA ranked its gains by,
+    # bit for bit, diverged (clamped) rows included
+    diverged = 0
+    for tau in (0.01, 0.1, 1.0):
+        plant, genes = _box_rows(tau, 40, 7)
+        resps = [simulate_gains(g, plant, tau) for g in genes]
+        flags = [r.diverged for r in resps]
+        diverged += sum(flags)
+        single = [indices(r) for r in resps]
+        for objective in OBJECTIVES:
+            vals, div = evaluate_objective(genes, plant, tau, objective)
+            assert div.tolist() == flags
+            assert vals.tolist() == [i.by_name(objective) for i in single]
+    assert 0 < diverged < 120
+
+
+def test_loop_polys_rows_do_not_depend_on_the_row_count():
+    plant, genes = _box_rows(0.1, 80, 9)
+    num_l, den_l = loop_polys(genes, plant, 0.1)
+    assert num_l.shape == (80, 5) and den_l.shape == (5,)
+    for g, row in zip(genes, num_l):
+        one, den_one = loop_polys(g, plant, 0.1)
+        np.testing.assert_array_equal(one[0], row)
+        np.testing.assert_array_equal(den_one, den_l)
+
+
+def test_report_gains_marks_a_negative_final_value_invalid():
+    # an unstable box row that stays under the divergence limit and ends at
+    # y < 0 has no measures: it is reported like a diverged row
+    plant = PlantFolpd(1.0, 1.0, 1.0)
+    gains = PidGains(1.1, 0.56, 0.094)
+    resp = simulate_gains(gains, plant, 1.0)
+    assert not resp.diverged and resp.y[-1] < 0
+    idx, meas, valid = report_gains(gains, plant, 1.0)
+    assert not valid
+    assert all(math.isnan(idx.by_name(o)) for o in OBJECTIVES)
+    assert math.isnan(meas.percent_overshoot)
+
+
+def test_reported_rows_are_scale_covariant():
+    # K e^{-tau s}/(T s + 1) with Z-N-derived gains is one problem in tau/T:
+    # with tau, dt and the horizon scaled by T, IAE and ISE scale by T, ITAE
+    # and ITSE by T^2 and the times by T; MSE, the overshoot and both
+    # margins keep their values
+    K, T = 2.5, 3.0
+    power = {"mse": 0, "iae": 1, "ise": 1, "itae": 2, "itse": 2}
+    rng = np.random.default_rng(13)
+    valid = 0
+    for tau in DEFAULT_DELAYS:
+        plants = (PlantFolpd(1.0, 1.0, tau), PlantFolpd(K, T, T * tau))
+        zn = [ziegler_nichols(p) for p in plants]
+        boxes = [bounds_from_baseline(g, 2.0) for g in zn]
+        rows = [zn] + [[PidGains(*(b.low + u * b.span)) for b in boxes]
+                       for u in rng.random((8, 3))]
+        for g1, g2 in rows:
+            idx1, m1, ok1 = report_gains(g1, plants[0], tau)
+            idx2, m2, ok2 = report_gains(g2, plants[1], T * tau, T * 0.01,
+                                         T * 15.0)
+            assert ok1 == ok2
+            c1, c2 = (true_margin(open_loop(pid_tf(g), p.lag_tf()), p.delay)
+                      for g, p in ((g1, plants[0]), (g2, plants[1])))
+            assert c2 == pytest.approx(c1, rel=1e-11)
+            if not ok1:
+                continue
+            valid += 1
+            for o, k in power.items():
+                assert idx2.by_name(o) == pytest.approx(
+                    T ** k * idx1.by_name(o), rel=1e-10)
+            for f in ("settling_time", "rise_time", "peak_time"):
+                assert getattr(m2, f) == pytest.approx(T * getattr(m1, f),
+                                                       rel=1e-11)
+            for f in ("percent_overshoot", "stability_margin"):
+                assert getattr(m2, f) == pytest.approx(
+                    getattr(m1, f), rel=1e-11, abs=1e-11, nan_ok=True)
+    assert 0 < valid < 9 * len(DEFAULT_DELAYS)
 
 
 def test_loop_margin_nan_for_unstable_gains():
@@ -106,6 +192,9 @@ def test_config_validation():
         ExperimentConfig(delays=(0.5, 0.1))
     with pytest.raises(ValueError):
         ExperimentConfig(delays=(-0.1, 0.5))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig(delays=(0.1, bad))
     with pytest.raises(ValueError):
         ExperimentConfig(objectives=("ise", "rmse"))
     with pytest.raises(ValueError):

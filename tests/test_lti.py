@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from pidga.lti import (DIVERGENCE_LIMIT, TransferFunction, UNITY,
-                       batch_step, closed_loop, pid_tf, poly_add, poly_mul,
-                       poly_trim, realize, rk4_transition, sample_count,
-                       step_response, to_state_space)
+                       batch_step, closed_loop, pad_left, pid_tf, poly_add,
+                       poly_mul, poly_trim, realize, rk4_transition,
+                       sample_count, step_response)
 
 
 # ---------------------------------------------------------------- polynomials
@@ -61,7 +61,6 @@ def test_transfer_function_evaluates_rationally():
     s = 1j * 2.0
     expected = (s + 2.0) / (s * s + 3.0 * s + 2.0)
     assert tf(s) == pytest.approx(expected)
-    assert tf.relative_degree == 1
 
 
 def test_pid_tf_structure():
@@ -114,43 +113,46 @@ def test_closed_loop_rejects_improper_result():
         closed_loop(UNITY, bad_plant)
 
 
-# --------------------------------------------------------------- state space
+# ---------------------------------------------------------------- realization
 
-def test_to_state_space_first_order():
-    ss = to_state_space(TransferFunction([1.0], [1.0, 1.0]))
-    np.testing.assert_array_equal(ss.A, [[-1.0]])
-    np.testing.assert_array_equal(ss.B, [1.0])
-    np.testing.assert_array_equal(ss.C, [1.0])
-    assert ss.D == 0.0
-    assert ss.order == 1
+def _realize_tf(tf):
+    """realize's single row for tf: A (n, n), C (n,), D; B is e0."""
+    n = len(tf.den) - 1
+    A, C, D = realize(pad_left(tf.num, n + 1)[None], tf.den[None])
+    return A[0], C[0], D[0]
 
 
-def test_to_state_space_biproper_feedthrough():
+def test_realize_first_order():
+    A, C, D = _realize_tf(TransferFunction([1.0], [1.0, 1.0]))
+    np.testing.assert_array_equal(A, [[-1.0]])
+    np.testing.assert_array_equal(C, [1.0])
+    assert D == 0.0
+
+
+def test_realize_biproper_feedthrough():
     # (s+2)/(s+1) = 1 + 1/(s+1)
-    ss = to_state_space(TransferFunction([1.0, 2.0], [1.0, 1.0]))
-    assert ss.D == 1.0
-    np.testing.assert_array_equal(ss.C, [1.0])
+    A, C, D = _realize_tf(TransferFunction([1.0, 2.0], [1.0, 1.0]))
+    assert D == 1.0
+    np.testing.assert_array_equal(C, [1.0])
 
 
-def test_to_state_space_companion_form():
-    ss = to_state_space(TransferFunction([1.0], [1.0, 3.0, 2.0]))
-    np.testing.assert_array_equal(ss.A, [[-3.0, -2.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(ss.B, [1.0, 0.0])
-    np.testing.assert_array_equal(ss.C, [0.0, 1.0])
-    assert ss.D == 0.0
+def test_realize_companion_form():
+    A, C, D = _realize_tf(TransferFunction([1.0], [1.0, 3.0, 2.0]))
+    np.testing.assert_array_equal(A, [[-3.0, -2.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(C, [0.0, 1.0])
+    assert D == 0.0
 
 
-def test_to_state_space_rejects_improper():
-    with pytest.raises(ValueError):
-        to_state_space(TransferFunction([1.0, 0.0, 0.0], [1.0, 0.0]))
+def test_step_response_rejects_improper():
+    with pytest.raises(ValueError, match="improper"):
+        step_response(TransferFunction([1.0, 0.0, 0.0], [1.0, 0.0]))
 
 
-def _freq_response_ss(ss, w):
-    out = np.empty(len(w), dtype=complex)
-    I = np.eye(ss.order)
-    for i, wi in enumerate(w):
-        out[i] = ss.C @ np.linalg.solve(1j * wi * I - ss.A, ss.B) + ss.D
-    return out
+def _freq_response(A, C, D, w):
+    n = A.shape[0]
+    B = np.eye(n)[0]
+    return np.array([C @ np.linalg.solve(1j * wi * np.eye(n) - A, B) + D
+                     for wi in w])
 
 
 @pytest.mark.parametrize("tf", [
@@ -160,8 +162,7 @@ def _freq_response_ss(ss, w):
 ])
 def test_realization_matches_rational_evaluation(tf):
     w = np.logspace(-2, 2, 20)
-    ss = to_state_space(tf)
-    h_ss = _freq_response_ss(ss, w)
+    h_ss = _freq_response(*_realize_tf(tf), w)
     h_tf = tf(1j * w)
     np.testing.assert_allclose(h_ss, h_tf, rtol=1e-9)
 
@@ -295,8 +296,7 @@ def test_batch_step_clamps_like_the_recursion():
     # each flagged row holds its output from the recursion's first bad state
     rng = np.random.default_rng(5)
     A, C, D = _stable_rows(rng, 4, 2)
-    hot = to_state_space(TransferFunction([1.0], [1.0, 0.0, -4.0]))
-    A[2], C[2], D[2] = hot.A, hot.C, hot.D
+    A[2], C[2], D[2] = _realize_tf(TransferFunction([1.0], [1.0, 0.0, -4.0]))
     Y, diverged = batch_step(A, C, D, 0.01, 1501)
     ref, X = _reference_step(A, C, D, 0.01, 1501)
     bad = ~(np.abs(X) <= DIVERGENCE_LIMIT).all(axis=2)
